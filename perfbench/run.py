@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload sweep --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload sweep --seed 1 --seconds 28 --trace 0
 
 Workloads: ``sweep`` (library solves of Table I substitutes under three
 sweep drivers), ``service_enforce`` (fit/check/enforce jobs through the
@@ -49,7 +49,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 
-#: Set-ups per run; ``setup_s`` is their median, the last one is measured.
+#: Set-ups per run unless a workload sets ``setup_repeats``; ``setup_s``
+#: is their median, and the last set-up is the one measured.
 SETUP_REPEATS = 3
 
 WORKLOAD_NAMES = ("sweep", "service_enforce", "service_cached")
@@ -99,14 +100,13 @@ def peak_rss_mb() -> float:
 
 
 def end_to_end(measured, setup_times) -> dict:
-    from perfbench.stats import median
+    from perfbench.stats import hd_median, median
 
-    latencies = measured.latencies
     return {
         "setup_s": median(setup_times),
-        "wall_s": median(measured.pass_walls),
+        "wall_s": hd_median(measured.pass_walls),
         "throughput_ops_s": measured.attempted / measured.busy_s,
-        "latency_p50_s": median(latencies),
+        "latency_p50_s": hd_median(measured.latencies),
         "ops_ok_share": 1.0 - measured.failed / measured.attempted,
         "peak_rss_mb": peak_rss_mb(),
     }
@@ -114,12 +114,12 @@ def end_to_end(measured, setup_times) -> dict:
 
 def measure(args, scratch: Path):
     """Set up, measure, tear down; returns (kind, values, parts, setups)."""
-    from perfbench.stats import median
+    from perfbench.stats import hd_median
 
     workload = make_workload(args.workload, args.seed, scratch)
     setup_times = []
     try:
-        for _ in range(SETUP_REPEATS):
+        for _ in range(getattr(workload, "setup_repeats", SETUP_REPEATS)):
             workload.close()
             started = time.perf_counter()
             workload.setup()
@@ -134,7 +134,7 @@ def measure(args, scratch: Path):
         workload.close()
     values = dict(traced.layers)
     values["obs.bench_trace_overhead"] = (
-        median(traced.pass_walls) / median(base.pass_walls) - 1.0
+        hd_median(traced.pass_walls) / hd_median(base.pass_walls) - 1.0
     )
     return "per_layer", values, [base, traced], setup_times
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from perfbench import metrics
-from perfbench.stats import percentile, reportable_tail, summarize
+from perfbench.stats import hd_median, percentile, reportable_tail, summarize
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -27,6 +27,23 @@ def test_percentile_interpolates():
     assert percentile(values, 50) == pytest.approx(2.5)
     assert percentile(values, 100) == 4.0
     assert math.isnan(percentile([], 50))
+
+
+def test_hd_median_estimates_the_median():
+    assert hd_median([]) == 0.0
+    assert hd_median([3.0]) == 3.0
+    assert hd_median([4.0, 1.0, 3.0, 2.0, 5.0]) == pytest.approx(3.0)
+    values = [float(i) for i in range(1, 202)]
+    assert hd_median(values) == pytest.approx(101.0)
+
+
+def test_hd_median_moves_smoothly_on_a_grid():
+    # Latencies on a 0.1 s grid: moving one sample across the middle
+    # shifts the sample median a whole step, the estimate only a little.
+    low = [0.5] * 16 + [0.6] * 15
+    high = [0.5] * 15 + [0.6] * 16
+    assert percentile(high, 50) - percentile(low, 50) == pytest.approx(0.1)
+    assert 0.0 < hd_median(high) - hd_median(low) < 0.03
 
 
 def test_summarize_states_count_median_and_tail():
