@@ -154,6 +154,8 @@ def build_arnoldi(
     coupling = 0.0
     breakdown = False
 
+    # Q^H, conjugated once per factorization rather than twice per step.
+    locked_h = locked.conj().T
     while k < max_dim:
         w = op(basis[:, k])
         # Deflate against locked directions (plain projection, two passes to
@@ -161,9 +163,9 @@ def build_arnoldi(
         # The removed components Q^H (OP v_k) are recorded so callers can
         # reconstruct full-space eigenvectors from deflated Ritz vectors.
         if locked.shape[1]:
-            f1 = locked.conj().T @ w
+            f1 = locked_h @ w
             w = w - locked @ f1
-            f2 = locked.conj().T @ w
+            f2 = locked_h @ w
             w = w - locked @ f2
             defl[:, k] = f1 + f2
         coeffs, norm, q = orthonormalize_against(basis[:, : k + 1], w)

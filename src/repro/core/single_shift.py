@@ -183,6 +183,9 @@ class SingleShiftSolver:
         locked_vecs = np.zeros((dim, 0), dtype=complex)  # orthonormal Q
         locked_images = np.zeros((dim, 0), dtype=complex)  # W = OP Q
         locked_vals: List[complex] = []
+        # Screen only the leading pairs: |mu| large <=> close to shift.
+        # Only these are lifted to the full space.
+        screen_width = max(2 * opts.num_wanted, 8)
         guard_distance = np.inf  # nearest unresolved eigenvalue estimate
         stall = 0
         restarts = 0
@@ -206,16 +209,15 @@ class SingleShiftSolver:
                 # Start vector collapsed into the locked space — the
                 # complement is (numerically) exhausted.
                 break
-            pairs = ritz_pairs(fact, sort_by="magnitude")
+            pairs = ritz_pairs(fact, sort_by="magnitude", max_pairs=screen_width)
             # Small projection Q^H OP Q for the locked-subspace correction.
             qhwq = locked_vecs.conj().T @ locked_images
 
             new_found = 0
             guard_distance = np.inf
             accepted: List[Tuple[complex, np.ndarray]] = []
-            # Screen only the leading pairs: |mu| large <=> close to shift.
             candidates: List[np.ndarray] = []
-            for pair in pairs[: max(2 * opts.num_wanted, 8)]:
+            for pair in pairs:
                 mu = pair.value
                 if abs(mu) == 0.0:
                     continue

@@ -10,7 +10,12 @@ eigenvalues ``j*w`` mark exactly the frequencies where singular values of
 * :mod:`repro.hamiltonian.operator` -- a matrix-free O(n p) operator built
   on the structured SIMO realization;
 * :mod:`repro.hamiltonian.shift_invert` -- the Sherman-Morrison-Woodbury
-  shift-and-invert operator of eq. (6), also O(n p) per application;
+  shift-and-invert operator of eq. (6).  Each shift is factored once, in
+  O(n p + p^3): the block-diagonal resolvent
+  ``K^{-1} = blkdiag(A - theta I, -A^T - theta I)^{-1}`` (reciprocals and
+  closed-form 2x2 inverses, O(n) memory) and the inverted ``2p x 2p``
+  core.  One application then costs two elementwise ``K^{-1}`` products,
+  two O(n p) port projections and one O(p^2) core product;
 * :mod:`repro.hamiltonian.spectral` -- the O(n^3) full dense eigensolution
   baseline and imaginary-eigenvalue filtering.
 """

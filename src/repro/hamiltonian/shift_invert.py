@@ -10,12 +10,20 @@ that does not require ``Z`` itself to be invertible reads
 
     (K + U Z V)^{-1} = K^{-1} - K^{-1} U Z (I + V K^{-1} U Z)^{-1} V K^{-1}.
 
-The ``2p x 2p`` *core* ``I + (V K^{-1} U) Z`` is assembled once per shift
-(two structured Gramian products) and inverted; afterwards each
-application of ``(M - theta I)^{-1}`` costs one pair of O(n) structured
-solves, two O(n p) port projections, and one O(p^2) small matmul —
-linear in the number of macromodel states, which is the enabling property
-for the Krylov iteration of Sec. III.
+Everything that depends on the shift alone is built once, when the
+operator is constructed, in O(n p + p^3) time and O(n) extra memory:
+
+* ``K^{-1}``, which keeps the 1x1/2x2 block structure — reciprocals for
+  real poles and closed-form 2x2 inverses for pole pairs, for both the
+  ``A - theta I`` and ``-A^T - theta I`` halves — stored as the three
+  diagonals of a tridiagonal ``2n x 2n`` matrix;
+* the ``2p x 2p`` *core* ``I + (V K^{-1} U) Z`` (two structured Gramian
+  products), inverted and premultiplied by ``Z``.
+
+One application of ``(M - theta I)^{-1}`` then costs two elementwise O(n)
+``K^{-1}`` products, two O(n p) port projections and one O(p^2) small
+matmul — linear in the number of macromodel states, which is the enabling
+property for the Krylov iteration of Sec. III.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from repro.hamiltonian.operator import HamiltonianOperator
+from repro.utils.linalg import Tridiagonal
 from repro.utils.timing import WorkCounter
 
 __all__ = ["ShiftInvertOperator"]
@@ -62,6 +71,12 @@ class ShiftInvertOperator:
         simo = hamiltonian.simo
         p = simo.num_ports
 
+        # K^-1 = blkdiag((A - theta I)^-1, -(A^T + theta I)^-1); raises
+        # ZeroDivisionError when theta sits on a pole or a mirrored pole.
+        top = simo.shifted_inverse(self.shift)
+        bottom = simo.shifted_inverse(-self.shift, transpose=True)
+        self._k_inv = Tridiagonal(np.hstack([top.bands, -bottom.bands]))
+
         # Gramian blocks of V K^-1 U:
         #   upper: C (A - theta I)^-1 B              = gamma(theta)
         #   lower: B^T (-A^T - theta I)^-1 C^T       = -gamma(-theta)^T
@@ -97,16 +112,6 @@ class ShiftInvertOperator:
         return self.hamiltonian.work
 
     # ------------------------------------------------------------------
-    def _solve_k(self, x: np.ndarray) -> np.ndarray:
-        """Apply ``K^{-1} = blkdiag((A - theta I)^{-1}, (-A^T - theta I)^{-1})``."""
-        simo = self.hamiltonian.simo
-        n = simo.order
-        theta = self.shift
-        top = simo.solve_shifted(theta, x[:n])
-        # (-A^T - theta I) y = x2  <=>  (A^T + theta I) y = -x2
-        bottom = -simo.solve_shifted(-theta, x[n:], transpose=True)
-        return np.concatenate([top, bottom])
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply ``(M - shift I)^{-1}`` to a vector ``(2n,)`` or block ``(2n, k)``.
 
@@ -124,14 +129,14 @@ class ShiftInvertOperator:
         simo = self.hamiltonian.simo
         p = simo.num_ports
 
-        w = self._solve_k(x)
+        w = self._k_inv.apply(x)
         # v = V w  (port projections)
         v = np.concatenate([simo.apply_c(w[:n]), simo.apply_bt(w[n:])])
         # t = Z (I + VKU Z)^-1 v
         t = self._zcore_inv @ v
         # u = U t
         u = np.concatenate([simo.apply_b(t[:p]), simo.apply_ct(t[p:])])
-        result = w - self._solve_k(u)
+        result = w - self._k_inv.apply(u)
 
         if self.hamiltonian.work is not None:
             self.hamiltonian.work.add(

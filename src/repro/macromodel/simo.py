@@ -28,6 +28,8 @@ passes instead of per-point Python loops:
 kernel                                  cost        batched form
 ======================================  ==========  ==========================
 ``apply_a/apply_b/apply_bt/apply_c``    O(n k)      ``(n, k)`` blocks broadcast
+``shifted_inverse``                     O(n)        factored once per shift;
+                                                    each apply O(n k)
 ``solve_shifted``                       O(n k)      ``solve_shifted_many`` —
                                                     ``(K, n[, k])``, shared rhs
 ``gamma`` / ``transfer``                O(n p)      ``gamma_many`` /
@@ -325,40 +327,51 @@ class SimoRealization:
                 )
         return out
 
-    def solve_shifted(
-        self, shift: complex, rhs: np.ndarray, *, transpose: bool = False
-    ) -> np.ndarray:
-        """Solve ``(A - shift I) x = rhs`` (or with ``A^T``) in O(n).
+    def shifted_inverse(
+        self, shift: complex, *, transpose: bool = False
+    ) -> la.Tridiagonal:
+        """Factor ``(A - shift I)^{-1}`` (or with ``A^T``) once, in O(n).
 
-        ``rhs`` may be a vector ``(n,)`` or a block of right-hand sides
-        ``(n, k)``.
+        The inverse keeps the block structure of ``A``: a reciprocal per
+        real pole and the closed-form inverse of each pair's 2x2 block
+        (:func:`repro.utils.linalg.shifted_rot2_inverse`).  Every later
+        product with it is elementwise, O(n) per right-hand side.
 
         Raises
         ------
         ZeroDivisionError
             If ``shift`` coincides with a pole of the realization.
         """
-        rhs = np.asarray(rhs)
-        out = np.zeros(
-            rhs.shape, dtype=np.result_type(rhs.dtype, np.asarray(shift).dtype)
+        bands = np.zeros(
+            (3, self.order), dtype=np.result_type(float, np.asarray(shift).dtype)
         )
+        lower, diag, upper = bands
         if self.real_pos.size:
-            out[self.real_pos] = la.solve_shifted_diagonal(
-                self.real_val, shift, rhs[self.real_pos]
-            )
+            diag[self.real_pos] = la.shifted_diagonal_inverse(self.real_val, shift)
         if self.pair_pos.size:
             beta = -self.pair_beta if transpose else self.pair_beta
-            if rhs.ndim == 1:
-                stacked = np.stack([rhs[self.pair_pos], rhs[self.pair_pos + 1]], axis=1)
-                solved = la.solve_shifted_rot2(self.pair_alpha, beta, shift, stacked)
-                out[self.pair_pos] = solved[:, 0]
-                out[self.pair_pos + 1] = solved[:, 1]
-            else:
-                stacked = np.stack([rhs[self.pair_pos], rhs[self.pair_pos + 1]], axis=1)
-                solved = la.solve_shifted_rot2(self.pair_alpha, beta, shift, stacked)
-                out[self.pair_pos] = solved[:, 0, :]
-                out[self.pair_pos + 1] = solved[:, 1, :]
-        return out
+            alpha_inv, beta_inv = la.shifted_rot2_inverse(self.pair_alpha, beta, shift)
+            diag[self.pair_pos] = alpha_inv
+            diag[self.pair_pos + 1] = alpha_inv
+            upper[self.pair_pos] = beta_inv
+            lower[self.pair_pos + 1] = -beta_inv
+        return la.Tridiagonal(bands)
+
+    def solve_shifted(
+        self, shift: complex, rhs: np.ndarray, *, transpose: bool = False
+    ) -> np.ndarray:
+        """Solve ``(A - shift I) x = rhs`` (or with ``A^T``) in O(n).
+
+        ``rhs`` may be a vector ``(n,)`` or a block of right-hand sides
+        ``(n, k)``.  Callers that solve many right-hand sides at one shift
+        should factor once with :meth:`shifted_inverse` instead.
+
+        Raises
+        ------
+        ZeroDivisionError
+            If ``shift`` coincides with a pole of the realization.
+        """
+        return self.shifted_inverse(shift, transpose=transpose).apply(rhs)
 
     def solve_shifted_many(
         self, shifts, rhs: np.ndarray, *, transpose: bool = False

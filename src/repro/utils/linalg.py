@@ -3,9 +3,11 @@
 The structured SIMO realization of the paper (eq. 2) stores the state matrix
 ``A`` as a block diagonal of 1x1 blocks (real poles) and 2x2 rotation-like
 blocks (complex-conjugate pole pairs after the real transformation of
-ref. [9]).  The kernels here solve shifted systems against such blocks in
-O(n) vectorized numpy operations — the workhorse behind the O(n p)
-Sherman-Morrison-Woodbury shift-invert of eq. (6).
+ref. [9]).  The kernels here invert shifted blocks in closed form — a
+shifted inverse keeps the block structure, so it is built once per shift
+in O(n) and applied as a :class:`Tridiagonal` in O(n) per right-hand side
+— the workhorse behind the O(n p) Sherman-Morrison-Woodbury shift-invert
+of eq. (6).
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ import numpy as np
 
 __all__ = [
     "blkdiag",
-    "solve_shifted_diagonal",
+    "shifted_diagonal_inverse",
+    "shifted_rot2_inverse",
     "solve_shifted_diagonal_many",
-    "solve_shifted_rot2",
     "solve_shifted_rot2_many",
-    "apply_rot2",
+    "Tridiagonal",
     "orthonormalize_against",
     "relative_spacing",
 ]
@@ -47,36 +49,56 @@ def blkdiag(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def solve_shifted_diagonal(
-    diag: np.ndarray, shift: complex, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve ``(diag(d) - shift*I) x = rhs`` element-wise.
+def shifted_diagonal_inverse(diag: np.ndarray, shift) -> np.ndarray:
+    """Entries ``1 / (d - shift)`` of ``(diag(d) - shift*I)^{-1}``.
 
-    Parameters
-    ----------
-    diag:
-        1-D array of diagonal entries ``d``.
-    shift:
-        Complex shift.
-    rhs:
-        Right-hand side with leading dimension ``len(diag)``; trailing
-        dimensions are broadcast (each column solved independently).
+    ``shift`` broadcasts against ``diag``: a ``(K, 1)`` column of shifts
+    against ``(1, m)`` entries gives one row of reciprocals per shift.
 
     Raises
     ------
     ZeroDivisionError
-        If the shift coincides (to machine precision) with a diagonal entry,
-        making the block singular.
+        If a shift coincides exactly with a diagonal entry, making the
+        block singular.
     """
-    diag = np.asarray(diag)
-    denom = diag - shift
-    if denom.size and np.min(np.abs(denom)) == 0.0:
+    denom = np.asarray(diag) - np.asarray(shift)
+    # all() is the cheap exact-singularity test: |z| == 0 iff z == 0.
+    if denom.size and not np.all(denom):
         raise ZeroDivisionError(
             "shift coincides with a real pole; shifted block is singular"
         )
-    if rhs.ndim == 1:
-        return rhs / denom
-    return rhs / denom[:, None]
+    return 1.0 / denom
+
+
+def shifted_rot2_inverse(alpha: np.ndarray, beta: np.ndarray, shift):
+    """Closed-form ``(block - shift*I)^{-1}`` of rotation-like 2x2 blocks.
+
+    Each block ``[[alpha, beta], [-beta, alpha]]`` is the real realization
+    of a complex pole pair ``alpha +/- j*beta``.  With ``a = alpha - shift``
+    the shifted inverse is ``[[a, -beta], [beta, a]] / (a^2 + beta^2)``,
+    again rotation-like, so it is returned in the same parametrization.
+    ``shift`` broadcasts against ``alpha``/``beta`` as in
+    :func:`shifted_diagonal_inverse`.
+
+    Returns
+    -------
+    (alpha_inv, beta_inv):
+        The inverse blocks are ``[[alpha_inv, beta_inv], [-beta_inv,
+        alpha_inv]]``.
+
+    Raises
+    ------
+    ZeroDivisionError
+        If a shift coincides with a block eigenvalue ``alpha +/- j*beta``.
+    """
+    a = np.asarray(alpha) - np.asarray(shift)
+    beta = np.asarray(beta)
+    det = a * a + beta * beta
+    if det.size and not np.all(det):
+        raise ZeroDivisionError(
+            "shift coincides with a complex pole; shifted block is singular"
+        )
+    return a / det, -beta / det
 
 
 def solve_shifted_diagonal_many(
@@ -84,10 +106,10 @@ def solve_shifted_diagonal_many(
 ) -> np.ndarray:
     """Solve ``(diag(d) - shift_k*I) x_k = rhs`` for a whole batch of shifts.
 
-    The multi-shift companion of :func:`solve_shifted_diagonal`: the
-    right-hand side is *shared* across shifts (the multi-shift structure of
-    frequency sweeps, where ``B`` is fixed and only the evaluation point
-    moves), so the solves reduce to one broadcast divide.
+    The right-hand side is *shared* across shifts (the multi-shift
+    structure of frequency sweeps, where ``B`` is fixed and only the
+    evaluation point moves), so the solves reduce to one broadcast product
+    with the reciprocals of :func:`shifted_diagonal_inverse`.
 
     Parameters
     ----------
@@ -106,109 +128,26 @@ def solve_shifted_diagonal_many(
     Raises
     ------
     ZeroDivisionError
-        If any shift coincides (to machine precision) with a diagonal entry.
+        If any shift coincides with a diagonal entry.
     """
-    diag = np.asarray(diag)
-    shifts = np.asarray(shifts)
+    inv = shifted_diagonal_inverse(
+        np.asarray(diag)[None, :], np.asarray(shifts)[:, None]
+    )  # (K, m)
     rhs = np.asarray(rhs)
-    denom = diag[None, :] - shifts[:, None]  # (K, m)
-    if denom.size and np.min(np.abs(denom)) == 0.0:
-        raise ZeroDivisionError(
-            "shift coincides with a real pole; shifted block is singular"
-        )
     if rhs.ndim == 1:
-        return rhs[None, :] / denom
-    return rhs[None, :, :] / denom[:, :, None]
-
-
-def apply_rot2(alpha: np.ndarray, beta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply a batch of 2x2 blocks ``[[alpha, beta], [-beta, alpha]]``.
-
-    Parameters
-    ----------
-    alpha, beta:
-        1-D arrays of length ``m`` (one entry per 2x2 block).
-    x:
-        Array of shape ``(m, 2)`` or ``(m, 2, k)`` holding the per-block
-        input vectors.
-
-    Returns
-    -------
-    numpy.ndarray
-        Same shape as ``x``.
-    """
-    alpha = np.asarray(alpha)
-    beta = np.asarray(beta)
-    x = np.asarray(x)
-    if x.ndim == 2:
-        out = np.empty_like(x, dtype=np.result_type(x.dtype, alpha.dtype))
-        out[:, 0] = alpha * x[:, 0] + beta * x[:, 1]
-        out[:, 1] = -beta * x[:, 0] + alpha * x[:, 1]
-        return out
-    out = np.empty_like(x, dtype=np.result_type(x.dtype, alpha.dtype))
-    out[:, 0, :] = alpha[:, None] * x[:, 0, :] + beta[:, None] * x[:, 1, :]
-    out[:, 1, :] = -beta[:, None] * x[:, 0, :] + alpha[:, None] * x[:, 1, :]
-    return out
-
-
-def solve_shifted_rot2(
-    alpha: np.ndarray, beta: np.ndarray, shift: complex, rhs: np.ndarray
-) -> np.ndarray:
-    """Solve a batch of shifted 2x2 systems.
-
-    Each block has the rotation-like form ``[[alpha, beta], [-beta, alpha]]``
-    (the real realization of a complex pole pair ``alpha +/- j*beta``); the
-    systems solved are ``(block - shift*I2) x = rhs`` for every block at
-    once.
-
-    The inverse of ``[[a, b], [-b, a]]`` (with ``a = alpha - shift``,
-    ``b = beta``) is ``[[a, -b], [b, a]] / (a^2 + b^2)``.
-
-    Parameters
-    ----------
-    alpha, beta:
-        1-D arrays of length ``m``.
-    shift:
-        Complex shift.
-    rhs:
-        Array of shape ``(m, 2)`` or ``(m, 2, k)``.
-
-    Raises
-    ------
-    ZeroDivisionError
-        If the shift coincides with one of the block eigenvalues
-        ``alpha +/- j*beta``.
-    """
-    alpha = np.asarray(alpha)
-    beta = np.asarray(beta)
-    rhs = np.asarray(rhs)
-    a = alpha - shift
-    b = beta
-    det = a * a + b * b
-    if det.size and np.min(np.abs(det)) == 0.0:
-        raise ZeroDivisionError(
-            "shift coincides with a complex pole; shifted block is singular"
-        )
-    if rhs.ndim == 2:
-        out = np.empty(rhs.shape, dtype=np.result_type(rhs.dtype, det.dtype))
-        out[:, 0] = (a * rhs[:, 0] - b * rhs[:, 1]) / det
-        out[:, 1] = (b * rhs[:, 0] + a * rhs[:, 1]) / det
-        return out
-    out = np.empty(rhs.shape, dtype=np.result_type(rhs.dtype, det.dtype))
-    det_c = det[:, None]
-    out[:, 0, :] = (a[:, None] * rhs[:, 0, :] - b[:, None] * rhs[:, 1, :]) / det_c
-    out[:, 1, :] = (b[:, None] * rhs[:, 0, :] + a[:, None] * rhs[:, 1, :]) / det_c
-    return out
+        return rhs[None, :] * inv
+    return rhs[None, :, :] * inv[:, :, None]
 
 
 def solve_shifted_rot2_many(
     alpha: np.ndarray, beta: np.ndarray, shifts: np.ndarray, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve the shifted 2x2 batch of :func:`solve_shifted_rot2` for many shifts.
+    """Solve shifted rotation-like 2x2 systems for a whole batch of shifts.
 
-    The right-hand side is shared across the ``K`` shifts; every
-    ``(block, shift)`` combination is solved with one broadcast expression
-    using the closed-form inverse of ``[[a, b], [-b, a]]``.
+    The systems are ``([[alpha, beta], [-beta, alpha]] - shift_k*I) x = rhs``
+    for every block and shift; the right-hand side is shared across the
+    ``K`` shifts, and every ``(block, shift)`` combination is solved with
+    one broadcast product with the inverses of :func:`shifted_rot2_inverse`.
 
     Parameters
     ----------
@@ -229,30 +168,53 @@ def solve_shifted_rot2_many(
     ZeroDivisionError
         If any shift coincides with a block eigenvalue ``alpha +/- j*beta``.
     """
-    alpha = np.asarray(alpha)
-    beta = np.asarray(beta)
-    shifts = np.asarray(shifts)
+    g, h = shifted_rot2_inverse(
+        np.asarray(alpha)[None, :],
+        np.asarray(beta)[None, :],
+        np.asarray(shifts)[:, None],
+    )  # (K, m) each
     rhs = np.asarray(rhs)
-    a = alpha[None, :] - shifts[:, None]  # (K, m)
-    b = beta  # (m,)
-    det = a * a + (b * b)[None, :]
-    if det.size and np.min(np.abs(det)) == 0.0:
-        raise ZeroDivisionError(
-            "shift coincides with a complex pole; shifted block is singular"
-        )
-    dtype = np.result_type(rhs.dtype, det.dtype)
-    if rhs.ndim == 2:
-        out = np.empty((shifts.size,) + rhs.shape, dtype=dtype)
-        out[:, :, 0] = (a * rhs[None, :, 0] - b[None, :] * rhs[None, :, 1]) / det
-        out[:, :, 1] = (b[None, :] * rhs[None, :, 0] + a * rhs[None, :, 1]) / det
+    if rhs.ndim == 3:
+        g = g[:, :, None]
+        h = h[:, :, None]
+    r0 = rhs[None, :, 0]
+    r1 = rhs[None, :, 1]
+    return np.stack([g * r0 + h * r1, g * r1 - h * r0], axis=2)
+
+
+class Tridiagonal:
+    """A tridiagonal matrix ``T`` stored as its three diagonals.
+
+    A block diagonal of 1x1 and 2x2 blocks on consecutive indices — the
+    structured state matrix of eq. (2) and its shifted inverses — is
+    tridiagonal, so its product with an ``(N,)`` vector or an ``(N, k)``
+    block costs three contiguous elementwise products and no index
+    gathers.
+
+    Parameters
+    ----------
+    bands:
+        ``(3, N)`` array of rows ``(lower, diag, upper)`` with
+        ``lower[i] = T[i, i - 1]``, ``diag[i] = T[i, i]`` and
+        ``upper[i] = T[i, i + 1]``.  ``lower[0]`` and ``upper[N - 1]`` lie
+        outside the matrix and must be zero, so the bands of two matrices
+        placed side by side are the bands of their block diagonal.
+    """
+
+    def __init__(self, bands: np.ndarray) -> None:
+        bands = np.asarray(bands)
+        if bands.ndim != 2 or bands.shape[0] != 3:
+            raise ValueError(f"bands must have shape (3, N), got {bands.shape}")
+        self.bands = bands
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Compute ``T x`` for ``x`` of shape ``(N,)`` or ``(N, k)``."""
+        x = np.asarray(x)
+        lower, diag, upper = self.bands if x.ndim == 1 else self.bands[:, :, None]
+        out = diag * x
+        out[:-1] += upper[:-1] * x[1:]
+        out[1:] += lower[1:] * x[:-1]
         return out
-    out = np.empty((shifts.size,) + rhs.shape, dtype=dtype)
-    a3 = a[:, :, None]
-    b3 = b[None, :, None]
-    det3 = det[:, :, None]
-    out[:, :, 0, :] = (a3 * rhs[None, :, 0, :] - b3 * rhs[None, :, 1, :]) / det3
-    out[:, :, 1, :] = (b3 * rhs[None, :, 0, :] + a3 * rhs[None, :, 1, :]) / det3
-    return out
 
 
 def orthonormalize_against(basis: np.ndarray, vector: np.ndarray, *, passes: int = 2):
@@ -288,7 +250,9 @@ def orthonormalize_against(basis: np.ndarray, vector: np.ndarray, *, passes: int
     for _ in range(max(1, passes)):
         if k == 0:
             break
-        proj = basis.conj().T @ w
+        # basis^H w as conj(basis^T conj(w)): conjugates O(n + k) entries
+        # instead of copying the whole (n, k) basis.
+        proj = np.conj(basis.T @ np.conj(w))
         w -= basis @ proj
         coeffs += proj
     norm = float(np.linalg.norm(w))

@@ -32,6 +32,17 @@ class TestConstruction:
         with pytest.raises(ZeroDivisionError):
             op.shift_invert(pole)
 
+    @pytest.mark.parametrize("kind", ["real", "pair"])
+    def test_shift_on_mirrored_pole_raises(self, op, kind):
+        """-lambda is a pole of -A^T, the singular point of K's lower half."""
+        simo = op.simo
+        if kind == "real":
+            pole = complex(simo.real_val[0])
+        else:
+            pole = complex(simo.pair_alpha[0], simo.pair_beta[0])
+        with pytest.raises(ZeroDivisionError):
+            ShiftInvertOperator(op, -pole)
+
     def test_small_solve_counted(self, small_simo):
         work = WorkCounter()
         op = HamiltonianOperator(small_simo, work=work)

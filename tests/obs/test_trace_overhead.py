@@ -1,48 +1,69 @@
-"""Tracer overhead guard: instrumentation is on by default, so the
-traced eigensweep stage must stay within 3% of the untraced timing.
+"""Tracer overhead guard: instrumentation is on by default, so a traced
+two-thread eigensweep must stay within 3% of the untraced timing.
 
-Reuses the seeded ``repro.obs.benchstage`` eigensweep (the paper's
-Hamiltonian characterization) — the same deterministic workload
-``repro bench`` times.  Interleaved best-of-N minima damp scheduler
-noise; one retry absorbs a pathological CI hiccup before failing.
+The timed unit is one seeded two-thread passivity characterization — the
+computation of the ``repro bench`` eigensweep stage — of a small model
+built once up front, so every timed sample is sweep work (about 40 ms).
+On a shared 2-core host, single timings of identical work spread by
+10-20%, so the minimum or median of a handful of runs reads host noise,
+not tracer cost.  The guard therefore interleaves many plain/traced
+pairs, alternating which arm runs first so that a drift or a second-run
+penalty hits both arms alike, and compares the median of the per-pair
+ratios with the budget: with a per-pair spread near 0.1, the median of
+150 pairs has a noise of about 1%.  One retry absorbs a pathological CI
+hiccup before failing.
 """
 
+import statistics
+import time
+
+from repro.core.options import SolverOptions
 from repro.obs import trace
-from repro.obs.benchstage import run_bench_stages
+from repro.passivity.characterization import characterize_passivity
+from repro.synth.generator import random_macromodel
 
 #: Relative overhead budget for a fully traced eigensweep.
 BUDGET = 1.03
-ROUNDS = 3
+#: Interleaved plain/traced pairs per estimate.
+PAIRS = 150
 
 
-def _stage_seconds():
-    (record,) = run_bench_stages(["eigensweep"], scale=0.05, threads=2)
-    return record["seconds"]
+def _sweep_seconds(model):
+    started = time.perf_counter()
+    characterize_passivity(model, num_threads=2, options=SolverOptions())
+    return time.perf_counter() - started
 
 
-def _traced_seconds():
-    ctx = trace.TraceContext(
-        trace_id=trace.new_trace_id(), span_id="bench-root"
-    )
+def _traced_sweep_seconds(model):
+    ctx = trace.TraceContext(trace_id=trace.new_trace_id(), span_id="bench-root")
     with trace.activate(ctx) as sink:
-        seconds = _stage_seconds()
+        seconds = _sweep_seconds(model)
     assert sink, "tracing was active, yet the eigensweep emitted no spans"
     return seconds
 
 
+def _median_pair_ratio(model):
+    ratios = []
+    for i in range(PAIRS):
+        if i % 2:
+            traced = _traced_sweep_seconds(model)
+            plain = _sweep_seconds(model)
+        else:
+            plain = _sweep_seconds(model)
+            traced = _traced_sweep_seconds(model)
+        ratios.append(traced / plain)
+    return statistics.median(ratios)
+
+
 def test_traced_eigensweep_within_three_percent():
-    _stage_seconds()  # warm caches/imports outside the measurement
+    model = random_macromodel(8, 2, seed=777, sigma_target=1.05)
+    _sweep_seconds(model)  # warm caches/imports outside the measurement
     ratio = None
     for _ in range(2):
-        plain, traced = [], []
-        for _ in range(ROUNDS):  # interleave to share machine noise
-            plain.append(_stage_seconds())
-            traced.append(_traced_seconds())
-        ratio = min(traced) / min(plain)
+        ratio = _median_pair_ratio(model)
         if ratio <= BUDGET:
             break
     assert ratio <= BUDGET, (
         f"tracing overhead {100 * (ratio - 1):.1f}% exceeds the"
-        f" {100 * (BUDGET - 1):.0f}% budget"
-        f" (plain={min(plain):.4f}s traced={min(traced):.4f}s)"
+        f" {100 * (BUDGET - 1):.0f}% budget (median of {PAIRS} paired ratios)"
     )
