@@ -1,10 +1,10 @@
 """Drive the HTTP macromodel service with a stdlib-only client.
 
 Submits a small fleet of synthetic characterization jobs over HTTP,
-polls until every job finishes, fetches one result by its
-content-addressed key, then resubmits the whole fleet to show the cached
-fast path (every second submission answers synchronously with
-``"cached": true``).
+follows each over the long-poll ``/v1/jobs/<id>/events`` endpoint until
+it finishes, fetches one result by its content-addressed key, then
+resubmits the whole fleet to show the cached fast path (every second
+submission answers synchronously with ``"cached": true``).
 
 Run against an embedded throwaway server (started in-process on an
 ephemeral port, with a temporary result store)::
@@ -32,6 +32,10 @@ import urllib.request
 #: responses — both carry Retry-After, the server's own backoff advice.
 RETRYABLE_STATUSES = (429, 503)
 MAX_RETRIES = 8
+
+#: Job states that never change again (``repro.queue.TERMINAL_STATES``):
+#: ``failed`` means the queue gave up after the lease attempts ran out.
+TERMINAL_STATES = ("done", "error", "timeout", "failed")
 
 
 def _retry_delay(response_headers, attempt: int) -> float:
@@ -68,15 +72,26 @@ def api(base_url: str, path: str, doc=None):
             time.sleep(_retry_delay(exc.headers, attempt))
 
 
-def wait_for(base_url: str, job_id: str, timeout: float = 300.0) -> dict:
-    """Poll one job until it leaves the queue."""
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        record = api(base_url, f"/v1/jobs/{job_id}")
-        if record["status"] in ("done", "error", "timeout"):
-            return record
-        time.sleep(0.05)
-    raise TimeoutError(f"job {job_id} still running after {timeout}s")
+def wait_for(base_url: str, record: dict, timeout: float = 300.0) -> dict:
+    """Follow one job over ``/events`` until it reaches a terminal state.
+
+    Each request long-polls: the server answers the moment the job's
+    row changes, so the client neither sleeps nor hammers
+    ``GET /v1/jobs``.
+    """
+    deadline = time.monotonic() + timeout
+    while record["status"] not in TERMINAL_STATES:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0.0:
+            raise TimeoutError(
+                f"job {record['id']} still {record['status']} after {timeout}s"
+            )
+        record = api(
+            base_url,
+            f"/v1/jobs/{record['id']}/events?since={record['version']}"
+            f"&timeout={min(30.0, remaining):.3f}",
+        )
+    return record
 
 
 def submit_fleet(base_url: str, count: int) -> None:
@@ -88,12 +103,12 @@ def submit_fleet(base_url: str, count: int) -> None:
     health = api(base_url, "/healthz")
     print(f"server {base_url} is {health['status']} (v{health['version']})")
 
-    # --- Cold pass: submit everything, then poll ------------------------
+    # --- Cold pass: submit everything, then follow /events -------------
     t0 = time.perf_counter()
     submitted = [api(base_url, "/v1/jobs", spec) for spec in specs]
     for record in submitted:
         print(f"  submitted {record['id']}  status={record['status']}")
-    finished = [wait_for(base_url, record["id"]) for record in submitted]
+    finished = [wait_for(base_url, record) for record in submitted]
     cold_s = time.perf_counter() - t0
     for record in finished:
         result = record["result"] or {}

@@ -38,6 +38,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait as wait_ready
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.batch.jobs import BatchJob, JobSource, expand_jobs
@@ -61,9 +62,6 @@ _LOG = get_logger("batch")
 
 #: Execution backends the runner supports.
 BATCH_BACKENDS = ("process", "thread", "serial")
-
-#: Seconds between liveness polls of in-flight worker processes.
-_POLL_INTERVAL = 0.02
 
 
 @dataclass(frozen=True)
@@ -618,9 +616,19 @@ class BatchRunner:
             while pending and len(active) < self.workers:
                 slot, job = pending.pop(0)
                 launch(slot, job)
-            reap()
             if active:
-                time.sleep(_POLL_INTERVAL)
+                # Sleep until a result arrives, a worker exits, or the
+                # nearest deadline passes, whichever comes first.
+                ready = [conn for _, _, _, conn, _ in active]
+                ready += [proc.sentinel for _, _, proc, _, _ in active]
+                deadlines = [entry[4] for entry in active if entry[4] is not None]
+                timeout = (
+                    max(0.0, min(deadlines) - time.perf_counter())
+                    if deadlines
+                    else None
+                )
+                wait_ready(ready, timeout=timeout)
+            reap()
         return [r for r in results if r is not None]
 
     @staticmethod

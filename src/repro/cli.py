@@ -203,7 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             action=_TrackedStore,
             metavar="SECONDS",
-            help="idle queue poll interval (default: REPRO_QUEUE_POLL or 0.2)",
+            help="longest idle wait before re-checking the queue: how soon a"
+            " worker notices work from another process or an expired lease"
+            " (default: REPRO_QUEUE_POLL or 0.2)",
         )
         p.add_argument(
             "--max-attempts",

@@ -17,7 +17,9 @@ Recognized environment variables (all optional):
   stops heartbeating loses its job after this long;
 * ``REPRO_QUEUE_HEARTBEAT``     — heartbeat interval (must stay below
   the lease or a healthy worker would lose its own job);
-* ``REPRO_QUEUE_POLL``          — idle worker poll interval in seconds;
+* ``REPRO_QUEUE_POLL``          — seconds an idle worker waits before
+  re-checking the queue (work enqueued in the same process wakes it at
+  once);
 * ``REPRO_QUEUE_MAX_ATTEMPTS``  — claim attempts before a job is marked
   ``failed`` (bounds requeue loops from crashing workers);
 * ``REPRO_QUEUE_RATE``          — per-client job submissions per second
@@ -76,7 +78,10 @@ class QueueConfig:
         Interval between lease renewals of an executing worker; must be
         smaller than ``lease_seconds``.
     poll_seconds:
-        How often an idle worker re-checks the queue for work.
+        Longest wait of an idle worker before it re-checks the queue.
+        Work enqueued in the same process (``repro serve`` with
+        embedded workers) wakes it at once, so this bounds how soon it
+        notices work enqueued by another process, or an expired lease.
     max_attempts:
         Claim attempts before a job is marked ``failed`` (a job leased
         by a crashing worker is requeued at most this many times).

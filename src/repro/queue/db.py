@@ -22,7 +22,16 @@ Design
   the rightful owner's result — every job completes exactly once.
 * **Versioned rows**: every state transition bumps ``version``;
   :meth:`JobQueue.wait_for_version` turns that into the long-poll
-  primitive behind ``GET /v1/jobs/<id>/events``.
+  primitive behind ``GET /v1/jobs/<id>/events``.  Waiters do not sleep
+  on a timer: every :class:`JobQueue` open on one file in one process
+  shares a change notifier, bumped after each committed enqueue of a
+  ``queued`` row, claim, release, retry and lease reclaim, and by the
+  worker once a finished attempt's trace is persisted.  A long-poll or
+  an idle worker waits on it and wakes the moment another thread of the
+  process writes.  Writes from other processes (external ``repro
+  worker`` fleets) and leases that merely expire notify nobody, so each
+  wait is bounded by the poll interval, after which the waiter re-reads
+  the database exactly as a plain poll would.
 
 States: ``queued`` → ``running`` → one of the terminal states ``done``
 (pipeline completed), ``error`` (pipeline raised), ``timeout`` (per-job
@@ -38,6 +47,7 @@ import socket
 import sqlite3
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -236,6 +246,53 @@ def _decode(row: sqlite3.Row) -> JobRow:
     )
 
 
+class _ChangeNotifier:
+    """Wakes this process's waiters on one queue file (see module docs).
+
+    A generation counter under a condition variable.  The condition
+    keeps its default reentrant lock: ``QueueWorker.request_stop`` bumps
+    it from signal handlers, which may interrupt the very thread that
+    holds it.
+    """
+
+    def __init__(self) -> None:
+        self._changed = threading.Condition()
+        self._generation = 0
+
+    @property
+    def generation(self) -> int:
+        with self._changed:
+            return self._generation
+
+    def bump(self) -> None:
+        with self._changed:
+            self._generation += 1
+            self._changed.notify_all()
+
+    def wait(self, generation: int, timeout: float) -> bool:
+        with self._changed:
+            return self._changed.wait_for(
+                lambda: self._generation != generation, timeout
+            )
+
+
+#: The notifier of each database file open in this process, shared by
+#: every :class:`JobQueue` on it; an entry dies with its last queue.
+_NOTIFIERS: "weakref.WeakValueDictionary[str, _ChangeNotifier]" = (
+    weakref.WeakValueDictionary()
+)
+_NOTIFIERS_LOCK = threading.Lock()
+
+
+def _notifier_for(path: Path) -> _ChangeNotifier:
+    key = os.path.realpath(path)
+    with _NOTIFIERS_LOCK:
+        notifier = _NOTIFIERS.get(key)
+        if notifier is None:
+            notifier = _NOTIFIERS[key] = _ChangeNotifier()
+        return notifier
+
+
 class JobQueue:
     """Persistent, crash-safe job queue over one SQLite file.
 
@@ -291,6 +348,7 @@ class JobQueue:
             self._conn.execute("ALTER TABLE jobs ADD COLUMN trace_id TEXT")
         self._trace_ring = _trace_ring_from_env()
         self._returning = sqlite3.sqlite_version_info >= (3, 35, 0)
+        self._notifier = _notifier_for(self.path)
 
     def close(self) -> None:
         """Close the underlying connection."""
@@ -408,6 +466,9 @@ class JobQueue:
                 )
 
         self._retrying("queue.enqueue", _insert)
+        if not cached:
+            # A cached row is born done: no worker or waiter needs it.
+            self._notifier.bump()
         row = self.get(job_id)
         assert row is not None
         return row
@@ -451,6 +512,7 @@ class JobQueue:
                 (now,),
             ).rowcount
         if failed or requeued:
+            self._notifier.bump()
             _LOG.debug(
                 "reclaimed %d expired lease(s) (%d failed terminally)",
                 failed + requeued,
@@ -516,6 +578,7 @@ class JobQueue:
 
         row = self._retrying("queue.claim", _claim)
         if row is not None:
+            self._notifier.bump()
             _obs_metrics().count("queue.jobs_claimed")
         return row
 
@@ -576,7 +639,9 @@ class JobQueue:
         Returns ``False`` when this worker no longer owned the job (its
         lease expired and the job was requeued or re-acked elsewhere);
         the caller must discard its result, preserving exactly-once
-        completion.
+        completion.  The ack wakes no waiter: the worker calls
+        :meth:`notify_change` once the attempt's trace is persisted, so
+        a client woken at a terminal state reads a complete trace.
         """
         if state not in TERMINAL_STATES:
             raise ValueError(
@@ -629,6 +694,8 @@ class JobQueue:
                 """,
                 (job_id, worker_id),
             ).rowcount
+        if released:
+            self._notifier.bump()
         return bool(released)
 
     # -- admin --------------------------------------------------------------
@@ -646,6 +713,8 @@ class JobQueue:
                 """,
                 (job_id,),
             ).rowcount
+        if touched:
+            self._notifier.bump()
         return bool(touched)
 
     def purge(self, state: str) -> int:
@@ -827,17 +896,47 @@ class JobQueue:
         Returns the fresh row immediately on any recorded transition, a
         terminal row immediately (nothing further will change), or the
         current row at timeout.  ``None`` means the id is unknown.
+        Between reads it waits for an in-process change (see
+        :meth:`wait_for_change`) at most ``poll`` seconds, which bounds
+        how late a transition written by another process is seen.
         """
-        deadline = time.time() + max(0.0, float(timeout))
+        deadline = time.monotonic() + max(0.0, float(timeout))
         while True:
+            generation = self.generation
             row = self.get(job_id)
             if row is None:
                 return None
             if row.version > since or row.terminal:
                 return row
-            if time.time() >= deadline:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0.0:
                 return row
-            time.sleep(poll)
+            self.wait_for_change(generation, min(poll, remaining))
+
+    # -- change notification ------------------------------------------------
+
+    @property
+    def generation(self) -> int:
+        """This process's count of wake-ups on this queue file.
+
+        Read it *before* reading or claiming rows and hand it to
+        :meth:`wait_for_change`, so that a write landing in between ends
+        the wait at once instead of being missed.
+        """
+        return self._notifier.generation
+
+    def wait_for_change(self, generation: int, timeout: float) -> bool:
+        """Wait until :attr:`generation` moves past ``generation``.
+
+        Returns ``True`` when an in-process write woke the caller,
+        ``False`` after ``timeout`` seconds.  Other processes' writes
+        wake nobody, so callers re-read the database after a timeout.
+        """
+        return self._notifier.wait(generation, timeout)
+
+    def notify_change(self) -> None:
+        """Wake every waiter of this process on this queue file."""
+        self._notifier.bump()
 
     # -- worker registry ----------------------------------------------------
 

@@ -137,6 +137,8 @@ class QueueWorker:
         ``repro worker`` wires SIGTERM/SIGINT to.
         """
         self._stop.set()
+        # Ends the idle wait now rather than at the next poll.
+        self.queue.notify_change()
 
     @property
     def stopping(self) -> bool:
@@ -157,9 +159,15 @@ class QueueWorker:
             self.queue.path,
             self.backend,
         )
-        idle_since = time.time()
+        idle_since = time.monotonic()
         try:
-            while not self._stop.is_set():
+            while True:
+                # Read before the stop check and the claim: a stop
+                # request or an enqueue landing after this read ends the
+                # idle wait below at once.
+                generation = self.queue.generation
+                if self._stop.is_set():
+                    break
                 if self.max_jobs is not None and self.jobs_done >= self.max_jobs:
                     break
                 claim_wall = time.time()
@@ -183,11 +191,16 @@ class QueueWorker:
                 if row is None:
                     if (
                         self.idle_seconds is not None
-                        and time.time() - idle_since >= self.idle_seconds
+                        and time.monotonic() - idle_since >= self.idle_seconds
                     ):
                         break
                     self.queue.worker_update(self.worker_id, state="idle")
-                    self._stop.wait(self.queue_config.poll_seconds)
+                    # Work enqueued in this process wakes the wait; work
+                    # from other processes and expired leases are found
+                    # by the claim after the poll interval.
+                    self.queue.wait_for_change(
+                        generation, self.queue_config.poll_seconds
+                    )
                     continue
                 with _obs_metrics().timer("worker.job"):
                     self._execute_traced(
@@ -195,7 +208,7 @@ class QueueWorker:
                         claim_wall=claim_wall,
                         claim_elapsed=time.perf_counter() - claim_t0,
                     )
-                idle_since = time.time()
+                idle_since = time.monotonic()
         finally:
             self.queue.worker_update(self.worker_id, state="stopped")
             self.queue.close()
@@ -270,6 +283,9 @@ class QueueWorker:
                         row.id,
                         exc,
                     )
+            # The ack's terminal wake-up comes only now, so that a
+            # long-poller woken at ``done`` finds the whole trace.
+            self.queue.notify_change()
 
     def _execute(self, row: JobRow) -> None:
         self.queue.worker_update(

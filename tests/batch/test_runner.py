@@ -1,6 +1,7 @@
 """Unit tests for the batch fleet runner."""
 
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -22,6 +23,16 @@ class SleepJob(BatchJob):
     def open_session(self, config):
         time.sleep(self.seconds)
         raise AssertionError("the sleep should have been terminated")
+
+
+@dataclass(frozen=True)
+class ExitJob(BatchJob):
+    """Test-only job whose worker process dies without sending a result."""
+
+    code: int = 3
+
+    def open_session(self, config):
+        os._exit(self.code)
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +112,15 @@ class TestProcessBackend:
         hung = report.result("hang")
         assert hung.status == "timeout"
         assert "terminated" in hung.error
+        assert report.num_ok == len(small_fleet)
+
+    def test_worker_death_without_a_result_is_reaped(self, small_fleet):
+        # No deadline: only the exit itself can end the reaper's wait.
+        sources = [ExitJob(name="dies")] + list(small_fleet)
+        report = BatchRunner(backend="process", workers=2).run(sources)
+        dead = report.result("dies")
+        assert dead.status == "error"
+        assert "died without a result (exit code 3)" in dead.error
         assert report.num_ok == len(small_fleet)
 
     def test_worker_crash_reported(self, small_fleet):

@@ -1,6 +1,8 @@
 """JobQueue: atomic claims, leases, guarded acks, admin operations."""
 
+import sqlite3
 import threading
+import time
 
 import pytest
 
@@ -246,6 +248,115 @@ class TestEvents:
 
     def test_unknown_id_is_none(self, queue):
         assert queue.wait_for_version("nope", timeout=0.0) is None
+
+    def test_claim_through_another_handle_ends_the_wait(self, queue, tmp_path):
+        # Same file, same process: the shared notifier wakes the waiter
+        # long before its 5 s poll would.
+        _enqueue(queue, "a1")
+        row = queue.get("a1")
+        other = JobQueue(tmp_path / "queue.sqlite3")
+        claimed_at = []
+
+        def claim():
+            other.claim("w2")
+            claimed_at.append(time.monotonic())
+
+        timer = threading.Timer(0.1, claim)
+        timer.start()
+        try:
+            fresh = queue.wait_for_version(
+                "a1", since=row.version, timeout=30.0, poll=5.0
+            )
+            returned_at = time.monotonic()
+        finally:
+            timer.join()
+            other.close()
+        assert fresh.state == "running"
+        assert returned_at - claimed_at[0] < 0.5
+
+    def test_write_without_a_notifier_is_seen_within_the_poll(
+        self, queue, tmp_path
+    ):
+        # A bare sqlite3 connection wakes nobody, like a worker in
+        # another process: the waiter finds its write by re-reading.
+        _enqueue(queue, "a1")
+        row = queue.get("a1")
+        generation = queue.generation
+        written_at = []
+
+        def bump_version():
+            conn = sqlite3.connect(str(tmp_path / "queue.sqlite3"))
+            try:
+                with conn:
+                    conn.execute(
+                        "UPDATE jobs SET version = version + 1 WHERE id = 'a1'"
+                    )
+            finally:
+                conn.close()
+            written_at.append(time.monotonic())
+
+        poll = 0.25
+        timer = threading.Timer(0.1, bump_version)
+        timer.start()
+        try:
+            fresh = queue.wait_for_version(
+                "a1", since=row.version, timeout=30.0, poll=poll
+            )
+            returned_at = time.monotonic()
+        finally:
+            timer.join()
+        assert fresh.version == row.version + 1
+        assert queue.generation == generation
+        assert returned_at - written_at[0] < poll + 0.25
+
+
+class TestWakeUps:
+    def test_which_writes_wake_waiters(self, queue, tmp_path):
+        other = JobQueue(tmp_path / "queue.sqlite3")
+        try:
+
+            def wakes(action) -> bool:
+                before = other.generation
+                action()
+                return other.generation != before
+
+            # A cached row is born done: no worker must claim it.
+            assert not wakes(
+                lambda: _enqueue(queue, "c1", cached_result={"status": "ok"})
+            )
+            assert wakes(lambda: _enqueue(queue, "a1"))
+            assert wakes(lambda: queue.claim("w1"))
+            assert wakes(lambda: queue.release("a1", "w1"))
+            queue.claim("w1")
+            # The worker wakes waiters itself once the trace is stored.
+            assert not wakes(
+                lambda: queue.ack("a1", "w1", state="done", result={})
+            )
+            assert not wakes(
+                lambda: queue.record_spans(
+                    [
+                        {
+                            "trace_id": "t1",
+                            "span_id": "s1",
+                            "name": "job",
+                            "start": 0.0,
+                            "duration": 1.0,
+                        }
+                    ],
+                    job_id="a1",
+                )
+            )
+            assert wakes(queue.notify_change)
+            assert wakes(lambda: queue.retry("a1"))
+            queue.claim("w1", lease_seconds=0.0)
+            assert wakes(queue.reclaim_expired)
+            # Operations that change no row wake nobody.
+            queue.claim("w1")
+            assert not wakes(lambda: queue.claim("w2"))
+            assert not wakes(lambda: queue.release("a1", "w2"))
+            assert not wakes(lambda: queue.retry("a1"))
+        finally:
+            other.close()
 
 
 class TestStats:

@@ -144,6 +144,81 @@ class TestDrain:
             assert registered["jobs_done"] == 1
 
 
+class TestWakeUps:
+    """An idle worker waits on the queue's change notifier, not a timer.
+
+    Every worker here polls only every 5 s, so each bound below holds
+    only if a wake-up ends the wait.
+    """
+
+    def _idle_worker(self, queue_path):
+        worker = _worker(queue_path, queue_config=QueueConfig(poll_seconds=5.0))
+        claims = []
+        claim = worker.queue.claim
+
+        def counted_claim(*args, **kwargs):
+            row = claim(*args, **kwargs)
+            claims.append(row)
+            return row
+
+        worker.queue.claim = counted_claim
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 30.0
+        while not claims:
+            assert time.monotonic() < deadline, "worker never polled"
+            time.sleep(0.005)
+        return worker, thread, claims
+
+    @staticmethod
+    def _stop(worker, thread):
+        worker.request_stop()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+    def test_claims_work_enqueued_through_another_handle(
+        self, queue_path, config
+    ):
+        worker, thread, claims = self._idle_worker(queue_path)
+        try:
+            with JobQueue(queue_path) as queue:
+                enqueued_at = time.monotonic()
+                _enqueue(queue, SPEC, config)
+                while not any(row is not None for row in claims):
+                    assert time.monotonic() - enqueued_at < 30.0
+                    time.sleep(0.005)
+                assert time.monotonic() - enqueued_at < 0.5
+        finally:
+            self._stop(worker, thread)
+
+    def test_stop_ends_an_idle_worker(self, queue_path):
+        worker, thread, _ = self._idle_worker(queue_path)
+        started = time.monotonic()
+        self._stop(worker, thread)
+        assert time.monotonic() - started < 0.5
+
+    def test_cached_enqueue_does_not_wake_an_idle_worker(
+        self, queue_path, config
+    ):
+        worker, thread, claims = self._idle_worker(queue_path)
+        try:
+            with JobQueue(queue_path) as queue:
+                parsed = parse_spec(SPEC, base_config=config, job_id="hit")
+                queue.enqueue(
+                    job_id="hit",
+                    task=parsed.task,
+                    name=parsed.name,
+                    kind=parsed.kind,
+                    spec=parsed.resolved_spec(),
+                    key=parsed.key,
+                    cached_result={"status": "ok"},
+                )
+                time.sleep(0.5)
+            assert claims == [None]
+        finally:
+            self._stop(worker, thread)
+
+
 class TestValidation:
     def test_rejects_unknown_backend(self, queue_path):
         with pytest.raises(ValueError, match="backend"):

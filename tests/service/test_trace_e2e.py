@@ -16,6 +16,7 @@ import urllib.request
 
 from repro.cli import main
 from repro.core.config import RunConfig
+from repro.queue import TERMINAL_STATES
 from repro.service import ReproServer
 
 SPEC = {"kind": "synth", "order": 6, "ports": 2, "seed": 3, "task": "check"}
@@ -58,13 +59,21 @@ def _post(server, doc, headers=None):
 
 
 def _wait_done(server, job_id, deadline=120.0):
-    limit = time.time() + deadline
-    while True:
-        _, record = _get(server, f"/v1/jobs/{job_id}")
-        if record["status"] in ("done", "error", "timeout", "failed"):
-            return record
-        assert time.time() < limit, f"job stuck: {record}"
-        time.sleep(0.05)
+    """Follow ``/events`` to a terminal state, as a client would.
+
+    The callers fetch the trace the moment this returns, so their
+    assertions on the ``job`` root check that the wake-up at a terminal
+    state comes only after the trace is persisted.
+    """
+    limit = time.monotonic() + deadline
+    _, record = _get(server, f"/v1/jobs/{job_id}")
+    while record["status"] not in TERMINAL_STATES:
+        assert time.monotonic() < limit, f"job stuck: {record}"
+        _, record = _get(
+            server,
+            f"/v1/jobs/{job_id}/events?since={record['version']}&timeout=30",
+        )
+    return record
 
 
 def _walk(node, depth=0):
