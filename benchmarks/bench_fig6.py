@@ -12,9 +12,8 @@ from __future__ import annotations
 import pytest
 
 from _config import BENCH_REPEATS, BENCH_SCALE, BENCH_THREADS, write_artifact
+from repro import RunConfig, solve
 from repro.core.options import SolverOptions
-from repro.core.parallel import solve_parallel
-from repro.core.serial import solve_serial
 from repro.reporting.fig6 import run_fig6
 from repro.reporting.tables import format_fig6
 from repro.synth.workloads import fig6_case
@@ -37,13 +36,8 @@ def get_model():
 def test_case5_sweep(benchmark, threads):
     """One Fig. 6 sample point: Case 5 swept with ``threads`` workers."""
     model = get_model()
-
-    def run():
-        if threads == 1:
-            return solve_serial(model, strategy="queue", options=OPTIONS)
-        return solve_parallel(model, num_threads=threads, options=OPTIONS)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    config = RunConfig(strategy="queue", num_threads=threads, options=OPTIONS)
+    result = benchmark.pedantic(lambda: solve(model, config), rounds=1, iterations=1)
     benchmark.extra_info["crossings"] = result.num_crossings
     benchmark.extra_info["operator_applies"] = result.work["operator_applies"]
     benchmark.extra_info["eliminated"] = result.work["shifts_eliminated"]

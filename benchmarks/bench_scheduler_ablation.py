@@ -17,11 +17,13 @@ from __future__ import annotations
 import pytest
 
 from _config import BENCH_SCALE, BENCH_THREADS, write_artifact
+from repro import RunConfig, solve
 from repro.core.options import SolverOptions
-from repro.core.parallel import solve_parallel
 from repro.synth.workloads import TABLE1_CASES, build_case
 
 OPTIONS = SolverOptions()
+DYNAMIC = RunConfig(strategy="queue", num_threads=BENCH_THREADS, options=OPTIONS)
+STATIC = DYNAMIC.merged(strategy="static")
 
 CASES = TABLE1_CASES[:6]
 
@@ -38,9 +40,7 @@ def get_model(spec):
 def test_dynamic_queue(benchmark, spec):
     model = get_model(spec)
     result = benchmark.pedantic(
-        lambda: solve_parallel(
-            model, num_threads=BENCH_THREADS, options=OPTIONS, dynamic=True
-        ),
+        lambda: solve(model, DYNAMIC),
         rounds=1,
         iterations=1,
     )
@@ -52,9 +52,7 @@ def test_dynamic_queue(benchmark, spec):
 def test_static_grid(benchmark, spec):
     model = get_model(spec)
     result = benchmark.pedantic(
-        lambda: solve_parallel(
-            model, num_threads=BENCH_THREADS, options=OPTIONS, dynamic=False
-        ),
+        lambda: solve(model, STATIC),
         rounds=1,
         iterations=1,
     )
@@ -72,12 +70,8 @@ def test_ablation_report(benchmark):
         lines.append("-" * len(lines[0]))
         for spec in CASES:
             model = get_model(spec)
-            dyn = solve_parallel(
-                model, num_threads=BENCH_THREADS, options=OPTIONS, dynamic=True
-            )
-            stat = solve_parallel(
-                model, num_threads=BENCH_THREADS, options=OPTIONS, dynamic=False
-            )
+            dyn = solve(model, DYNAMIC)
+            stat = solve(model, STATIC)
             assert stat.shifts_processed >= dyn.shifts_processed, spec.name
             assert stat.num_crossings == dyn.num_crossings, spec.name
             ratio = stat.work["operator_applies"] / max(

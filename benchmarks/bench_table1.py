@@ -15,9 +15,8 @@ from __future__ import annotations
 import pytest
 
 from _config import BENCH_REPEATS, BENCH_SCALE, BENCH_THREADS, write_artifact
+from repro import RunConfig, solve
 from repro.core.options import SolverOptions
-from repro.core.parallel import solve_parallel
-from repro.core.serial import solve_serial
 from repro.reporting.table1 import run_table1
 from repro.reporting.tables import format_table1
 from repro.synth.workloads import TABLE1_CASES, build_case
@@ -38,7 +37,7 @@ def test_serial_bisection(benchmark, spec):
     """tau_1 column: single-thread classical bisection sweep."""
     model = get_model(spec)
     result = benchmark.pedantic(
-        lambda: solve_serial(model, strategy="bisection", options=OPTIONS),
+        lambda: solve(model, RunConfig(strategy="bisection", options=OPTIONS)),
         rounds=1,
         iterations=1,
     )
@@ -52,7 +51,10 @@ def test_parallel_queue(benchmark, spec):
     """tau_T column: dynamic work-queue sweep with T threads."""
     model = get_model(spec)
     result = benchmark.pedantic(
-        lambda: solve_parallel(model, num_threads=BENCH_THREADS, options=OPTIONS),
+        lambda: solve(
+            model,
+            RunConfig(strategy="queue", num_threads=BENCH_THREADS, options=OPTIONS),
+        ),
         rounds=1,
         iterations=1,
     )

@@ -17,12 +17,12 @@ from __future__ import annotations
 import pytest
 
 from _config import BENCH_SCALE, BENCH_THREADS, write_artifact
+from repro import RunConfig, solve
 from repro.core.options import SolverOptions
-from repro.core.parallel import solve_parallel
-from repro.core.serial import solve_serial
 from repro.synth.transmission_line import transmission_line_model
 
 OPTIONS = SolverOptions()
+SERIAL = RunConfig(strategy="bisection", options=OPTIONS)
 
 _BASE_RESONANCES = max(4, int(80 * BENCH_SCALE))
 RESONANCES = [_BASE_RESONANCES * k for k in (1, 2, 4)]
@@ -46,7 +46,7 @@ def get_model(num_resonances):
 def test_comb_serial(benchmark, num_resonances):
     model = get_model(num_resonances)
     result = benchmark.pedantic(
-        lambda: solve_serial(model, strategy="bisection", options=OPTIONS),
+        lambda: solve(model, SERIAL),
         rounds=1,
         iterations=1,
     )
@@ -58,8 +58,9 @@ def test_comb_serial(benchmark, num_resonances):
 def test_comb_parallel(benchmark, num_resonances):
     model = get_model(num_resonances)
     result = benchmark.pedantic(
-        lambda: solve_parallel(
-            model, num_threads=BENCH_THREADS, options=OPTIONS
+        lambda: solve(
+            model,
+            RunConfig(strategy="queue", num_threads=BENCH_THREADS, options=OPTIONS),
         ),
         rounds=1,
         iterations=1,
@@ -80,7 +81,7 @@ def test_comb_report(benchmark):
         rows = []
         for num_resonances in RESONANCES:
             model = get_model(num_resonances)
-            result = solve_serial(model, strategy="bisection", options=OPTIONS)
+            result = solve(model, SERIAL)
             applies = result.work["operator_applies"]
             per = applies / max(result.num_crossings, 1)
             rows.append((result.num_crossings, per))

@@ -3,7 +3,8 @@
 Sweeps the thread count on the Case 5 substitute model and reports, per
 thread count:
 
-* wall time (on CPython attenuated by the GIL — see EXPERIMENTS.md),
+* wall time (on CPython attenuated by the GIL: threads overlap only
+  inside numpy/BLAS),
 * total operator work,
 * the projected T-core speedup from the makespan simulation (the
   platform-independent analogue of the paper's speedup factor),
@@ -16,9 +17,7 @@ Run:  python examples/parallel_scaling.py [scale]
 
 import sys
 
-from repro import SolverOptions
-from repro.core.parallel import solve_parallel
-from repro.core.serial import solve_serial
+from repro import RunConfig, SolverOptions, solve
 from repro.reporting.projection import project_speedup
 from repro.synth.workloads import fig6_case
 
@@ -29,7 +28,7 @@ def main() -> None:
     options = SolverOptions(seed=3)
     print(f"Case 5 substitute: order={model.order}, ports={model.num_ports}")
 
-    serial = solve_serial(model, strategy="bisection", options=options)
+    serial = solve(model, RunConfig(strategy="bisection", options=options))
     print(
         f"\nserial bisection reference: {serial.elapsed:.3f}s,"
         f" {serial.work['operator_applies']} applies,"
@@ -43,10 +42,9 @@ def main() -> None:
     print("\n" + header)
     print("-" * len(header))
     for threads in (1, 2, 4, 8, 16):
-        if threads == 1:
-            result = solve_serial(model, strategy="queue", options=options)
-        else:
-            result = solve_parallel(model, num_threads=threads, options=options)
+        result = solve(
+            model, RunConfig(strategy="queue", num_threads=threads, options=options)
+        )
         assert result.num_crossings == serial.num_crossings, "solvers disagree!"
         projection = project_speedup(serial, result, threads)
         print(

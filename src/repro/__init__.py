@@ -28,15 +28,10 @@ Configuration can come from code, dictionaries, or the environment::
     config = config.merged(representation="immittance")
 
 Scheduling strategies are pluggable: ``bisection`` / ``queue`` /
-``static`` ship registered in :mod:`repro.core.registry`, and new
-backends join via :func:`register_strategy` without touching the solver.
-
-The historical free functions (``vector_fit``, ``characterize_passivity``,
-``enforce_passivity``, ``find_imaginary_eigenvalues``) remain importable
-from this package as deprecated shims; new code should use the facade.
+``static`` / ``process`` ship registered in :mod:`repro.core.registry`,
+and new backends join via :func:`register_strategy` without touching the
+solver.
 """
-
-import warnings as _warnings
 
 from repro.api import (
     ConfigError,
@@ -50,18 +45,13 @@ from repro.api import (
 from repro.batch import BatchRunner, FleetReport, synth_fleet
 from repro.core.options import SolverOptions
 from repro.core.results import SolveResult
-from repro.core.solver import find_imaginary_eigenvalues as _find_imaginary_eigenvalues
 from repro.core.solver import solve
 from repro.macromodel.rational import PoleResidueModel
 from repro.macromodel.realization import pole_residue_to_simo
 from repro.macromodel.simo import SimoRealization
 from repro.macromodel.statespace import StateSpace
 from repro.passivity.characterization import PassivityReport
-from repro.passivity.characterization import (
-    characterize_passivity as _characterize_passivity,
-)
 from repro.passivity.enforcement import EnforcementResult
-from repro.passivity.enforcement import enforce_passivity as _enforce_passivity
 from repro.passivity.hinf import HinfResult, hinf_norm
 from repro.passivity.immittance import (
     ImmittancePassivityReport,
@@ -71,7 +61,6 @@ from repro.store import ResultStore
 from repro.touchstone.reader import read_touchstone
 from repro.touchstone.writer import write_touchstone
 from repro.utils.logging import init_from_env as _logging_init_from_env
-from repro.vectfit.vector_fitting import vector_fit as _vector_fit
 
 __version__ = "1.2.0"
 
@@ -81,50 +70,6 @@ __version__ = "1.2.0"
 # raise ConfigError naming the variable, like every other REPRO_* knob.
 _logging_init_from_env()
 
-
-def _deprecated_shim(name, impl, replacement):
-    """Wrap a legacy free function in a DeprecationWarning-emitting shim."""
-
-    def shim(*args, **kwargs):
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {replacement} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return impl(*args, **kwargs)
-
-    shim.__name__ = name
-    shim.__qualname__ = name
-    shim.__doc__ = (
-        f"Deprecated alias of :func:`{impl.__module__}.{impl.__name__}`;"
-        f" use {replacement} instead.\n\n{impl.__doc__ or ''}"
-    )
-    shim.__wrapped__ = impl
-    return shim
-
-
-#: Deprecated: use ``Macromodel.from_samples(...).fit(...)`` instead.
-vector_fit = _deprecated_shim(
-    "vector_fit", _vector_fit, "Macromodel.from_samples(...).fit(...)"
-)
-#: Deprecated: use ``Macromodel.from_pole_residue(...).check_passivity()``.
-characterize_passivity = _deprecated_shim(
-    "characterize_passivity",
-    _characterize_passivity,
-    "Macromodel.from_pole_residue(...).check_passivity()",
-)
-#: Deprecated: use ``Macromodel.from_pole_residue(...).enforce()``.
-enforce_passivity = _deprecated_shim(
-    "enforce_passivity",
-    _enforce_passivity,
-    "Macromodel.from_pole_residue(...).enforce()",
-)
-#: Deprecated: use ``Macromodel.find_crossings()`` or ``repro.solve``.
-find_imaginary_eigenvalues = _deprecated_shim(
-    "find_imaginary_eigenvalues",
-    _find_imaginary_eigenvalues,
-    "Macromodel.from_pole_residue(...).find_crossings() or repro.solve(model, config)",
-)
 
 __all__ = [
     "__version__",
@@ -160,9 +105,4 @@ __all__ = [
     # File I/O.
     "read_touchstone",
     "write_touchstone",
-    # Deprecated free functions (shims).
-    "vector_fit",
-    "characterize_passivity",
-    "enforce_passivity",
-    "find_imaginary_eigenvalues",
 ]

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.batch.jobs import BatchJob, JobSource, expand_jobs
 from repro.core.config import RunConfig
-from repro.core.process import preferred_mp_context
+from repro.core.sweep import preferred_mp_context
 from repro.obs import trace as _trace
 from repro.utils.guards import NumericalError
 from repro.utils.logging import get_logger

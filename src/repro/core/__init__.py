@@ -10,15 +10,16 @@ Layering (bottom up):
   certified disk;
 * :mod:`repro.core.scheduler` -- the dynamic band-coverage scheduler of
   Sec. IV (tentative/processing/done shift sets, interval splitting,
-  covered-shift elimination, startup ordering, termination);
-* :mod:`repro.core.serial` / :mod:`repro.core.parallel` -- single-thread
-  and multi-thread drivers over the same scheduler;
+  covered-shift elimination, startup ordering, termination), and the
+  classical bisection of Fig. 2 as a placement policy with its interface;
+* :mod:`repro.core.sweep` -- the one claim -> run -> complete loop over
+  either, with each shift run inline, on threads, or on a process pool;
 * :mod:`repro.core.registry` -- the pluggable strategy registry the
-  drivers register into;
+  built-in strategies register into;
 * :mod:`repro.core.config` -- the single :class:`RunConfig` carrying all
   cross-cutting knobs;
-* :mod:`repro.core.solver` -- the public API :func:`solve` /
-  :func:`find_imaginary_eigenvalues`, dispatching through the registry.
+* :mod:`repro.core.solver` -- the public API :func:`solve`, dispatching
+  through the registry.
 """
 
 from repro.core.config import RunConfig
@@ -31,7 +32,7 @@ from repro.core.registry import (
 )
 from repro.core.results import ShiftRecord, SingleShiftResult, SolveResult
 from repro.core.single_shift import SingleShiftSolver, estimate_spectral_bound
-from repro.core.solver import find_imaginary_eigenvalues, solve
+from repro.core.solver import solve
 
 __all__ = [
     "RunConfig",
@@ -45,6 +46,5 @@ __all__ = [
     "SolveResult",
     "SingleShiftSolver",
     "estimate_spectral_bound",
-    "find_imaginary_eigenvalues",
     "solve",
 ]

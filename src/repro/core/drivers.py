@@ -1,22 +1,21 @@
-"""Shared plumbing for the serial and parallel sweep drivers.
+"""Plumbing around the sweep loop of :mod:`repro.core.sweep`.
 
-Both drivers do the same per-shift work (run a single-shift iteration,
-record provenance) and the same post-processing (deduplicate eigenvalues
-found by overlapping disks, filter the purely imaginary ones, snapshot the
-work counters); only the scheduling loop differs.
+Before the loop: normalize the model, build the instrumented operator,
+and resolve the search band.  After it: deduplicate eigenvalues found by
+overlapping disks, keep the purely imaginary ones, and snapshot the work
+counters into a :class:`~repro.core.results.SolveResult`.
 """
 
 from __future__ import annotations
 
-import time
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.options import SolverOptions
 from repro.core.results import ShiftRecord, SolveResult
-from repro.core.scheduler import BandScheduler, Segment
-from repro.core.single_shift import SingleShiftSolver, estimate_spectral_bound
+from repro.core.scheduler import BandScheduler
+from repro.core.single_shift import estimate_spectral_bound
 from repro.hamiltonian.operator import HamiltonianOperator
 from repro.macromodel.rational import PoleResidueModel
 from repro.macromodel.realization import pole_residue_to_simo
@@ -28,7 +27,6 @@ __all__ = [
     "ModelInput",
     "prepare_operator",
     "resolve_band",
-    "run_segment",
     "dedup_eigenvalues",
     "collect_result",
 ]
@@ -91,33 +89,6 @@ def resolve_band(
     return omega_min, omega_max
 
 
-def run_segment(
-    solver: SingleShiftSolver,
-    scheduler: BandScheduler,
-    segment: Segment,
-    root_stream: RandomStream,
-    worker_id: int,
-) -> ShiftRecord:
-    """Run the single-shift iteration for one claimed segment.
-
-    Pure compute — no scheduler mutation; the caller applies
-    ``scheduler.complete`` under its own synchronization.
-    """
-    rho0 = scheduler.initial_radius(segment)
-    stream = root_stream.spawn(key=segment.index)
-    started = time.perf_counter()
-    result = solver.run(segment.center, rho0, stream)
-    elapsed = time.perf_counter() - started
-    return ShiftRecord(
-        index=segment.index,
-        center=segment.center,
-        interval=(segment.lo, segment.hi),
-        result=result,
-        worker=worker_id,
-        elapsed=elapsed,
-    )
-
-
 def dedup_eigenvalues(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
     """Merge duplicate eigenvalues reported by overlapping disks.
 
@@ -158,7 +129,9 @@ def collect_result(
     """Assemble the final :class:`SolveResult` from per-shift records."""
     work = op.work
     if work is not None:
-        work.add(shifts_eliminated=scheduler.eliminated)
+        work.add(
+            shifts_processed=len(records), shifts_eliminated=scheduler.eliminated
+        )
     scale = max(1.0, op.simo.spectral_radius_bound())
 
     all_eigs = (

@@ -1,15 +1,14 @@
 """Pluggable registry of band-sweep scheduling strategies.
 
-Historically :func:`repro.core.solver.find_imaginary_eigenvalues` chose a
-driver through a hard-coded ``if/elif`` chain, so adding a backend meant
-editing the dispatcher.  This module replaces that chain with a registry:
-each strategy is a :class:`StrategySpec` mapping a name to a driver with
-the uniform signature
+:func:`repro.core.solver.solve` chooses its driver through this registry
+rather than a hard-coded ``if/elif`` chain, so adding a backend needs no
+dispatcher edit.  Each strategy is a :class:`StrategySpec` mapping a name
+to a driver with the uniform signature
 
 ``driver(model, *, num_threads, representation, omega_min, omega_max,
 options) -> SolveResult``
 
-New backends (process pools, sharded sweeps, async drivers, ...) plug in
+New backends (remote executors, async drivers, ...) plug in
 with :func:`register_strategy` and become immediately available to the
 solver, :class:`~repro.core.config.RunConfig` validation, the
 :class:`~repro.api.Macromodel` facade, and the CLI ``--strategy`` flag —
@@ -22,14 +21,16 @@ no dispatcher edits required::
                    omega_max, options):
         ...
 
-The built-in ``bisection`` / ``queue`` / ``static`` drivers of the paper
-are themselves registered through the same mechanism at the bottom of
-this module.
+The built-in ``bisection`` / ``queue`` / ``static`` / ``process``
+strategies are themselves registered through the same mechanism at the
+bottom of this module, each as the one sweep loop of
+:mod:`repro.core.sweep` under its own name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.utils.validation import ensure_choice, ensure_positive_int
@@ -252,92 +253,41 @@ def resolve_strategy(
 
 
 # ---------------------------------------------------------------------------
-# Built-in drivers (the three schedulers studied in the paper) register
+# Built-in strategies (the schedulers studied in the paper) register
 # through the public mechanism, exactly like an external plugin would.
 # ---------------------------------------------------------------------------
 
 
 def _register_builtins() -> None:
-    from repro.core.parallel import solve_parallel
-    from repro.core.process import solve_process
-    from repro.core.serial import solve_serial
+    from repro.core.sweep import sweep
 
-    @register_strategy(
+    def builtin(name: str, **spec) -> None:
+        register_strategy(name, **spec)(partial(sweep, strategy=name))
+
+    builtin(
         "bisection",
         max_threads=1,
         backends=("serial",),
         description="classical sequential bisection (ref. [9]; Table I baseline)",
     )
-    def _bisection(
-        model, *, num_threads, representation, omega_min, omega_max, options
-    ):
-        return solve_serial(
-            model,
-            representation=representation,
-            strategy="bisection",
-            omega_min=omega_min,
-            omega_max=omega_max,
-            options=options,
-        )
-
-    @register_strategy(
+    builtin(
         "queue",
         backends=("serial", "thread"),
         description="dynamic band-coverage scheduler (Sec. IV; any thread count)",
     )
-    def _queue(model, *, num_threads, representation, omega_min, omega_max, options):
-        if num_threads == 1:
-            return solve_serial(
-                model,
-                representation=representation,
-                strategy="queue",
-                omega_min=omega_min,
-                omega_max=omega_max,
-                options=options,
-            )
-        return solve_parallel(
-            model,
-            num_threads=num_threads,
-            representation=representation,
-            omega_min=omega_min,
-            omega_max=omega_max,
-            options=options,
-            dynamic=True,
-        )
-
-    @register_strategy(
+    builtin(
         "static",
         backends=("thread",),
         description="static pre-distributed grid (ablation baseline, no elimination)",
     )
-    def _static(model, *, num_threads, representation, omega_min, omega_max, options):
-        return solve_parallel(
-            model,
-            num_threads=num_threads,
-            representation=representation,
-            omega_min=omega_min,
-            omega_max=omega_max,
-            options=options,
-            dynamic=False,
-        )
-
-    @register_strategy(
+    builtin(
         "process",
         backends=("process",),
         description=(
-            "sharded multiprocessing sweep (true multi-core; falls back to"
-            " threads for small models)"
+            "dynamic scheduler with shifts run on a process pool (true"
+            " multi-core; falls back to threads for small models)"
         ),
     )
-    def _process(model, *, num_threads, representation, omega_min, omega_max, options):
-        return solve_process(
-            model,
-            num_threads=num_threads,
-            representation=representation,
-            omega_min=omega_min,
-            omega_max=omega_max,
-            options=options,
-        )
 
 
 _register_builtins()

@@ -44,8 +44,13 @@ maintained at every instant is::
 
 so termination certifies full band coverage.
 
-The scheduler itself is **not** thread-safe; drivers serialize access with
-a mutex (the OpenMP-critical-section analogue).
+The classical bisection of Fig. 2 is a second shift-placement policy
+with the same worker interface, :class:`BisectionPolicy`, so one loop
+drives both.
+
+Neither class is thread-safe: the sweep loop of :mod:`repro.core.sweep`
+calls them only under the one lock its slots share (the OpenMP
+critical-section analogue).
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ from repro.utils.validation import (
     ensure_positive_int,
 )
 
-__all__ = ["Segment", "DoneDisk", "BandScheduler"]
+__all__ = ["Segment", "DoneDisk", "BandScheduler", "BisectionPolicy"]
 
 _LOG = get_logger("scheduler")
 
@@ -132,11 +137,6 @@ class BandScheduler:
     min_width_rel:
         Segments narrower than ``min_width_rel * band_width`` are dropped
         instead of re-scheduled (guard against infinite subdivision).
-    index_offset:
-        First segment index handed out.  Band-sharding drivers give each
-        shard's scheduler a disjoint index range so that merged shift
-        records (and the per-segment random streams keyed by index) stay
-        globally unique.
 
     Raises
     ------
@@ -154,7 +154,6 @@ class BandScheduler:
         alpha: float = 1.05,
         dynamic: bool = True,
         min_width_rel: float = 1e-12,
-        index_offset: int = 0,
     ) -> None:
         omega_min = ensure_nonnegative_float(omega_min, "omega_min")
         omega_max = ensure_positive_float(omega_max, "omega_max")
@@ -172,13 +171,11 @@ class BandScheduler:
         self.dynamic = bool(dynamic)
         self._min_width = min_width_rel * (omega_max - omega_min)
 
-        if index_offset < 0:
-            raise ValueError(f"index_offset must be >= 0, got {index_offset}")
         self._segments: Dict[int, Segment] = {}
         self._queue: Deque[int] = deque()
         self._done: List[DoneDisk] = []
         self._covered: List[Tuple[float, float]] = []
-        self._next_index = int(index_offset)
+        self._next_index = 0
         self.eliminated = 0
         self.trimmed = 0
 
@@ -315,21 +312,6 @@ class BandScheduler:
         if self.dynamic:
             self._prune_tentative()
 
-    def register_external_disk(
-        self, center: float, radius: float, segment_index: int
-    ) -> None:
-        """Record a disk produced outside the queue discipline.
-
-        Used by the classical bisection driver, which chooses its own shift
-        positions but still relies on this class for coverage bookkeeping.
-        """
-        if radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        self._done.append(
-            DoneDisk(center=center, radius=radius, segment_index=segment_index)
-        )
-        self._add_covered(center - radius, center + radius)
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -451,4 +433,86 @@ class BandScheduler:
             f" tentative={self.tentative_count()},"
             f" processing={self.processing_count()}, done={len(self._done)},"
             f" eliminated={self.eliminated}, dynamic={self.dynamic})"
+        )
+
+
+#: First segment index of :class:`BisectionPolicy`; its per-segment random
+#: streams are keyed by these indices.
+BISECTION_FIRST_INDEX = 10_000_000
+
+
+class BisectionPolicy(BandScheduler):
+    """Classical sequential bisection (ref. [9], Fig. 2) as a placement policy.
+
+    The band edges are processed first; afterwards each shift sits at the
+    midpoint of the widest uncovered gap (eq. 10), until the completed
+    disks cover the band.  Every placement needs the radii of all earlier
+    disks, so at most one shift is out at a time.  This is the ``tau_1``
+    reference of Table I.
+
+    The inherited scheduler serves only as the coverage tracker: its
+    startup queue is discarded, and completed disks shrink no segment.
+    """
+
+    def __init__(
+        self,
+        omega_min: float,
+        omega_max: float,
+        *,
+        kappa: int = 2,
+        alpha: float = 1.05,
+        min_width_rel: float = 1e-12,
+    ) -> None:
+        super().__init__(
+            omega_min,
+            omega_max,
+            num_threads=1,
+            kappa=kappa,
+            alpha=alpha,
+            min_width_rel=min_width_rel,
+        )
+        self._segments.clear()
+        self._queue.clear()
+        self._next_index = BISECTION_FIRST_INDEX
+        # Edge shifts with a radius guess matching the startup grid.
+        width = (self.omega_max - self.omega_min) / max(2, 2 * kappa)
+        self._pending = [
+            (self.omega_min, self.omega_min, self.omega_min + width),
+            (self.omega_max, self.omega_max - width, self.omega_max),
+        ]
+        self._running = False
+
+    def next_task(self) -> Optional[Segment]:
+        """The next bisection shift, or None while one runs or when done."""
+        if self._running:
+            return None
+        if not self._pending:
+            gaps = self.uncovered(ignore_dust=True)
+            if not gaps:
+                return None
+            lo, hi = max(gaps, key=lambda gap: gap[1] - gap[0])
+            self._pending.append((0.5 * (lo + hi), lo, hi))
+        center, lo, hi = self._pending.pop(0)
+        segment = Segment(self._next_index, lo, hi, center, status="processing")
+        self._next_index += 1
+        self._running = True
+        return segment
+
+    def complete(self, segment: Segment, center: float, radius: float) -> None:
+        """Record the finished disk; the next gap is placed on demand."""
+        if radius <= 0.0:
+            raise ValueError(f"radius must be positive, got {radius}")
+        segment.status = "done"
+        self._running = False
+        self._done.append(
+            DoneDisk(center=center, radius=radius, segment_index=segment.index)
+        )
+        self._add_covered(center - radius, center + radius)
+
+    def is_finished(self) -> bool:
+        """Nothing running, no edge pending, no gap wider than the dust."""
+        return (
+            not self._running
+            and not self._pending
+            and not self.uncovered(ignore_dust=True)
         )

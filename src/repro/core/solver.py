@@ -1,16 +1,13 @@
 """Public entry point of the Hamiltonian eigensolver.
 
-:func:`solve` is the canonical engine: it takes a
-:class:`~repro.core.config.RunConfig`, resolves the scheduling strategy
-through the pluggable registry (:mod:`repro.core.registry`), and returns
-a :class:`~repro.core.results.SolveResult` whose ``omegas`` attribute
-holds the complete set of non-negative crossing frequencies (the paper's
-``Omega`` on the upper half axis).
-
-:func:`find_imaginary_eigenvalues` is the historical keyword-argument
-spelling, kept as a thin adapter over :func:`solve`; new code should go
-through the :class:`~repro.api.Macromodel` facade or call :func:`solve`
-with an explicit config.
+:func:`solve` takes a :class:`~repro.core.config.RunConfig`, resolves the
+scheduling strategy through the pluggable registry
+(:mod:`repro.core.registry`), and returns a
+:class:`~repro.core.results.SolveResult` whose ``omegas`` attribute holds
+the complete set of non-negative crossing frequencies (the paper's
+``Omega`` on the upper half axis).  It is the one entry point to the
+solver: the :class:`~repro.api.Macromodel` facade and the passivity
+stages all call it.
 """
 
 from __future__ import annotations
@@ -19,19 +16,24 @@ from typing import Optional
 
 from repro.core.config import RunConfig
 from repro.core.drivers import ModelInput
-from repro.core.options import SolverOptions
 from repro.core.registry import resolve_strategy
 from repro.core.results import SolveResult
 from repro.obs import trace as _obs_trace
 from repro.utils.guards import ensure_finite
 
-__all__ = ["solve", "find_imaginary_eigenvalues"]
+__all__ = ["solve"]
 
 
 def solve(
     model: ModelInput, config: Optional[RunConfig] = None, **overrides
 ) -> SolveResult:
-    """Compute all purely imaginary Hamiltonian eigenvalues under ``config``.
+    """Compute all purely imaginary eigenvalues of the model's Hamiltonian.
+
+    This is the passivity characterization kernel of the paper: the
+    returned crossing frequencies are exactly where singular values of
+    ``H(j w)`` touch or cross 1 (scattering) or where ``H + H^H`` becomes
+    singular (immittance).  An empty result certifies passivity under the
+    strict asymptotic condition of eq. (4).
 
     Parameters
     ----------
@@ -39,14 +41,28 @@ def solve(
         :class:`~repro.macromodel.rational.PoleResidueModel` or
         :class:`~repro.macromodel.simo.SimoRealization`.
     config:
-        The run configuration; defaults apply when omitted.
+        The run configuration; defaults apply when omitted.  Its
+        ``omega_max=None`` estimates the upper band edge from the largest
+        Hamiltonian eigenvalue magnitude (Sec. IV.A).
     **overrides:
-        Per-call :meth:`RunConfig.merged` overrides, e.g.
-        ``solve(model, num_threads=8)``.
+        Per-call :meth:`RunConfig.merged` overrides, any
+        :class:`~repro.core.config.RunConfig` field, e.g.
+        ``solve(model, num_threads=8, strategy="queue")``.
 
     Returns
     -------
     SolveResult
+        ``result.omegas`` — sorted crossing frequencies;
+        ``result.shifts`` / ``result.work`` — per-shift provenance and
+        work counters for performance studies.
+
+    Examples
+    --------
+    >>> from repro.synth import random_macromodel
+    >>> model = random_macromodel(order_per_column=6, num_ports=2, seed=0)
+    >>> result = solve(model, num_threads=2)
+    >>> result.omegas.shape[0] == result.num_crossings
+    True
     """
     config = config if config is not None else RunConfig()
     if overrides:
@@ -76,71 +92,3 @@ def solve(
     if omegas is not None:
         ensure_finite(omegas, stage="solve", what="crossing frequencies")
     return result
-
-
-def find_imaginary_eigenvalues(
-    model: ModelInput,
-    *,
-    num_threads: int = 1,
-    representation: str = "scattering",
-    strategy: str = "auto",
-    omega_min: float = 0.0,
-    omega_max: Optional[float] = None,
-    options: Optional[SolverOptions] = None,
-) -> SolveResult:
-    """Compute all purely imaginary eigenvalues of the model's Hamiltonian.
-
-    This is the passivity characterization kernel of the paper: the
-    returned crossing frequencies are exactly where singular values of
-    ``H(j w)`` touch or cross 1 (scattering) or where ``H + H^H`` becomes
-    singular (immittance).  An empty result certifies passivity under the
-    strict asymptotic condition of eq. (4).
-
-    Keyword-argument adapter over :func:`solve`; the arguments are exactly
-    the fields of :class:`~repro.core.config.RunConfig`.
-
-    Parameters
-    ----------
-    model:
-        :class:`~repro.macromodel.rational.PoleResidueModel` or
-        :class:`~repro.macromodel.simo.SimoRealization`.
-    num_threads:
-        Worker threads; 1 selects a serial driver.
-    representation:
-        ``"scattering"`` (default) or ``"immittance"``.
-    strategy:
-        Any name registered in :mod:`repro.core.registry` (built-ins:
-        ``"bisection"``, ``"queue"``, ``"static"``) or ``"auto"`` —
-        ``"bisection"`` when ``num_threads == 1``, else the dynamic
-        ``"queue"`` scheduler.
-    omega_min, omega_max:
-        Search band on the frequency axis; ``omega_max=None`` estimates
-        the upper edge from the largest Hamiltonian eigenvalue magnitude
-        (Sec. IV.A).
-    options:
-        :class:`~repro.core.options.SolverOptions`; defaults when omitted.
-
-    Returns
-    -------
-    SolveResult
-        ``result.omegas`` — sorted crossing frequencies;
-        ``result.shifts`` / ``result.work`` — per-shift provenance and
-        work counters for performance studies.
-
-    Examples
-    --------
-    >>> from repro.synth import random_macromodel
-    >>> model = random_macromodel(order_per_column=6, num_ports=2, seed=0)
-    >>> result = find_imaginary_eigenvalues(model, num_threads=2)
-    >>> result.omegas.shape[0] == result.num_crossings
-    True
-    """
-    config = RunConfig(
-        num_threads=num_threads,
-        representation=representation,
-        strategy=strategy,
-        omega_min=omega_min,
-        omega_max=omega_max,
-        options=options if options is not None else SolverOptions(),
-    )
-    return solve(model, config)

@@ -2,7 +2,7 @@
 
 A *trace* is the causal timeline of one job: the HTTP submission, the
 queue wait, the worker attempt(s), and every instrumented pipeline layer
-underneath (``Macromodel`` stages, eigensweep shard dispatch, store
+underneath (``Macromodel`` stages, process-pool eigensweep shifts, store
 get/put, vector-fitting LS stages, per-iteration passivity enforcement,
 queue claim/ack).  Each step is a *span* — trace ID + span ID + parent
 ID, a wall-clock start, a monotonic duration, free-form attributes, and
@@ -378,9 +378,9 @@ def record_span(
 ) -> None:
     """Append an already-measured span under the current context.
 
-    Used for work whose timing was captured elsewhere — per-shard
-    eigensweep outcomes shipped back from pool workers, the queue claim
-    that preceded the attempt span.  No-op when no trace is active.
+    Used for work whose timing was captured elsewhere — eigensweep
+    shifts timed in pool workers, the queue claim that preceded the
+    attempt span.  No-op when no trace is active.
     """
     state = _STATE.get()
     if state is None:

@@ -15,9 +15,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.config import RunConfig
 from repro.core.options import SolverOptions
-from repro.core.parallel import solve_parallel
-from repro.core.serial import solve_serial
+from repro.core.solver import solve
 from repro.reporting.projection import project_speedup
 from repro.reporting.sweepcheck import sweep_crossing_check
 from repro.reporting.tables import Fig6Point, format_fig6
@@ -67,7 +67,7 @@ def run_fig6(
     serial_results = []
     for rep in range(repeats):
         rep_options = options.with_(seed=(options.seed or 0) + 7919 * (rep + 1))
-        res = solve_serial(model, strategy="bisection", options=rep_options)
+        res = solve(model, RunConfig(strategy="bisection", options=rep_options))
         serial_time.append(res.elapsed)
         serial_work.append(res.work.get("operator_applies", 1))
         serial_results.append(res)
@@ -86,10 +86,9 @@ def run_fig6(
         eta_proj: List[float] = []
         for rep in range(repeats):
             rep_options = options.with_(seed=(options.seed or 0) + 7919 * (rep + 1))
-            if t == 1:
-                res = solve_serial(model, strategy="queue", options=rep_options)
-            else:
-                res = solve_parallel(model, num_threads=t, options=rep_options)
+            res = solve(
+                model, RunConfig(strategy="queue", num_threads=t, options=rep_options)
+            )
             eta_wall.append(
                 serial_time[rep] / res.elapsed if res.elapsed > 0 else np.inf
             )

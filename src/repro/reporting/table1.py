@@ -17,9 +17,9 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.core.config import RunConfig
 from repro.core.options import SolverOptions
-from repro.core.parallel import solve_parallel
-from repro.core.serial import solve_serial
+from repro.core.solver import solve
 from repro.reporting.projection import project_speedup
 from repro.reporting.sweepcheck import sweep_crossing_check
 from repro.reporting.tables import Table1Row, format_table1
@@ -46,7 +46,7 @@ def run_case(
     options = options if options is not None else SolverOptions()
     model = build_case(spec, scale=scale)
 
-    serial = solve_serial(model, strategy="bisection", options=options)
+    serial = solve(model, RunConfig(strategy="bisection", options=options))
     work_serial = serial.work.get("operator_applies", 0)
     if validate_points:
         check = sweep_crossing_check(model, serial, points=validate_points)
@@ -62,8 +62,9 @@ def run_case(
         rep_options = options.with_(
             seed=(options.seed or 0) + 1000 * (rep + 1)
         )
-        par = solve_parallel(
-            model, num_threads=num_threads, options=rep_options
+        par = solve(
+            model,
+            RunConfig(strategy="queue", num_threads=num_threads, options=rep_options),
         )
         par_times.append(par.elapsed)
         par_works.append(par.work.get("operator_applies", 0))

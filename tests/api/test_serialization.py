@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.solver import find_imaginary_eigenvalues
+from repro.core.solver import solve
 from repro.passivity.characterization import characterize_passivity
 from repro.passivity.enforcement import enforce_passivity
 from repro.passivity.hinf import hinf_norm
@@ -26,7 +26,7 @@ def round_trip(payload):
 
 class TestSolveResult:
     def test_to_dict_round_trips(self, model):
-        result = find_imaginary_eigenvalues(model, num_threads=2)
+        result = solve(model, num_threads=2)
         payload = round_trip(result.to_dict())
         assert payload["strategy"] == "queue"
         assert payload["num_threads"] == 2
@@ -37,7 +37,7 @@ class TestSolveResult:
         assert set(shift) == {"re", "im"}
 
     def test_to_dict_compact(self, model):
-        result = find_imaginary_eigenvalues(model)
+        result = solve(model)
         payload = round_trip(result.to_dict(include_shifts=False))
         assert "shifts" not in payload
         assert payload["shifts_processed"] > 0

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core.config import RunConfig
 from repro.core.options import SolverOptions
-from repro.core.process import ENV_MIN_ORDER
 from repro.core.registry import resolve_strategy
 from repro.core.solver import solve
+from repro.core.sweep import ENV_MIN_ORDER
 from repro.synth import random_macromodel
 
 #: Tight eigenpair tolerance so cross-backend deviations are round-off,

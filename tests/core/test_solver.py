@@ -1,9 +1,9 @@
-"""Unit tests for the public find_imaginary_eigenvalues API."""
+"""Unit tests for the public solve API."""
 
 import numpy as np
 import pytest
 
-from repro.core.solver import find_imaginary_eigenvalues
+from repro.core.solver import solve
 from repro.hamiltonian.spectral import imaginary_eigenvalues_dense
 from repro.macromodel.realization import pole_residue_to_simo
 from repro.synth import random_macromodel
@@ -21,29 +21,29 @@ def truth(model):
 
 class TestStrategies:
     def test_auto_serial_uses_bisection(self, model):
-        result = find_imaginary_eigenvalues(model, num_threads=1)
+        result = solve(model, num_threads=1)
         assert result.strategy == "bisection"
 
     def test_auto_parallel_uses_queue(self, model):
-        result = find_imaginary_eigenvalues(model, num_threads=2)
+        result = solve(model, num_threads=2)
         assert result.strategy == "queue"
 
     def test_queue_single_thread(self, model):
-        result = find_imaginary_eigenvalues(model, num_threads=1, strategy="queue")
+        result = solve(model, num_threads=1, strategy="queue")
         assert result.strategy == "queue"
         assert result.num_threads == 1
 
     def test_static(self, model, truth):
-        result = find_imaginary_eigenvalues(model, num_threads=2, strategy="static")
+        result = solve(model, num_threads=2, strategy="static")
         np.testing.assert_allclose(np.sort(result.omegas), truth, atol=1e-5)
 
     def test_bisection_multithread_rejected(self, model):
         with pytest.raises(ValueError, match="sequential"):
-            find_imaginary_eigenvalues(model, num_threads=4, strategy="bisection")
+            solve(model, num_threads=4, strategy="bisection")
 
     def test_unknown_strategy_rejected(self, model):
         with pytest.raises(ValueError, match="unknown strategy"):
-            find_imaginary_eigenvalues(model, strategy="bogus")
+            solve(model, strategy="bogus")
 
     @pytest.mark.parametrize("strategy,threads", [
         ("bisection", 1),
@@ -52,9 +52,7 @@ class TestStrategies:
         ("static", 3),
     ])
     def test_all_strategies_agree_with_dense(self, model, truth, strategy, threads):
-        result = find_imaginary_eigenvalues(
-            model, num_threads=threads, strategy=strategy
-        )
+        result = solve(model, num_threads=threads, strategy=strategy)
         assert result.num_crossings == truth.size
         np.testing.assert_allclose(np.sort(result.omegas), truth, atol=1e-5)
 
@@ -62,16 +60,16 @@ class TestStrategies:
 class TestInputs:
     def test_simo_input(self, model, truth):
         simo = pole_residue_to_simo(model)
-        result = find_imaginary_eigenvalues(simo)
+        result = solve(simo)
         np.testing.assert_allclose(np.sort(result.omegas), truth, atol=1e-5)
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError):
-            find_imaginary_eigenvalues(np.eye(4))
+            solve(np.eye(4))
 
     def test_crossings_match_unit_singular_values(self, model):
         simo = pole_residue_to_simo(model)
-        result = find_imaginary_eigenvalues(model, num_threads=2)
+        result = solve(model, num_threads=2)
         for w in result.omegas:
             sv = np.linalg.svd(simo.transfer(1j * w), compute_uv=False)
             assert np.min(np.abs(sv - 1.0)) < 1e-5

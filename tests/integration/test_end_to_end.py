@@ -9,18 +9,13 @@ enforcement -> re-verification, plus the file-format layer.
 import numpy as np
 import pytest
 
-from repro import (
-    characterize_passivity,
-    enforce_passivity,
-    find_imaginary_eigenvalues,
-    pole_residue_to_simo,
-    read_touchstone,
-    vector_fit,
-    write_touchstone,
-)
+from repro import pole_residue_to_simo, read_touchstone, solve, write_touchstone
 from repro.hamiltonian.spectral import imaginary_eigenvalues_dense
+from repro.passivity.characterization import characterize_passivity
+from repro.passivity.enforcement import enforce_passivity
 from repro.passivity.metrics import grid_passivity_margin
 from repro.synth import random_macromodel
+from repro.vectfit.vector_fitting import vector_fit
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +61,8 @@ class TestFitCharacterizeEnforce:
         """Crossings of the fitted model match the source model's."""
         freqs, samples = tabulated
         fit = vector_fit(freqs, samples, num_poles=ground_truth.num_poles)
-        src = find_imaginary_eigenvalues(ground_truth, num_threads=2)
-        fitted = find_imaginary_eigenvalues(fit.model, num_threads=2)
+        src = solve(ground_truth, num_threads=2)
+        fitted = solve(fit.model, num_threads=2)
         assert src.num_crossings == fitted.num_crossings
         np.testing.assert_allclose(
             np.sort(src.omegas), np.sort(fitted.omegas), rtol=1e-4, atol=1e-6
@@ -96,9 +91,7 @@ class TestSolverConsistency:
         simo = pole_residue_to_simo(model)
         truth = imaginary_eigenvalues_dense(simo)
         for strategy, threads in [("bisection", 1), ("queue", 2), ("static", 2)]:
-            result = find_imaginary_eigenvalues(
-                simo, num_threads=threads, strategy=strategy
-            )
+            result = solve(simo, num_threads=threads, strategy=strategy)
             assert result.num_crossings == truth.size, (strategy, threads)
             if truth.size:
                 np.testing.assert_allclose(
@@ -110,9 +103,7 @@ class TestSolverConsistency:
         shifted = model.with_d(model.d + 2.0 * np.eye(2))
         simo = pole_residue_to_simo(shifted)
         truth = imaginary_eigenvalues_dense(simo, representation="immittance")
-        result = find_imaginary_eigenvalues(
-            simo, num_threads=2, representation="immittance"
-        )
+        result = solve(simo, num_threads=2, representation="immittance")
         assert result.num_crossings == truth.size
         if truth.size:
             np.testing.assert_allclose(np.sort(result.omegas), truth, atol=1e-5)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.options import SolverOptions
-from repro.core.solver import find_imaginary_eigenvalues
+from repro.core.solver import solve
 from repro.macromodel.rational import PoleResidueModel
 from repro.passivity.characterization import characterize_passivity
 from repro.passivity.enforcement import enforce_passivity
@@ -29,13 +29,13 @@ def tiny_model(pole=-1.0, residue=0.3, d=0.1):
 class TestDegenerateModels:
     def test_single_pole_single_port(self):
         """The smallest possible model sweeps cleanly."""
-        result = find_imaginary_eigenvalues(tiny_model())
+        result = solve(tiny_model())
         assert result.coverage_gaps() == []
 
     def test_single_pole_with_crossing(self):
         """|H(0)| = d + r/|p| > 1: crossings must exist and be found."""
         model = tiny_model(residue=1.5)
-        result = find_imaginary_eigenvalues(model)
+        result = solve(model)
         assert result.num_crossings >= 1
         for w in result.omegas:
             h = model.transfer(1j * w)
@@ -48,12 +48,12 @@ class TestDegenerateModels:
             np.zeros((1, 1)),
         )
         with pytest.raises(ValueError, match="stable"):
-            find_imaginary_eigenvalues(model)
+            solve(model)
 
     def test_sigma_d_equal_one_rejected(self):
         model = tiny_model(d=1.0)
         with pytest.raises(ValueError, match="asymptotic"):
-            find_imaginary_eigenvalues(model)
+            solve(model)
 
     def test_sigma_d_above_one_rejected_with_hint(self):
         model = tiny_model(d=1.3)
@@ -72,7 +72,7 @@ class TestDegenerateModels:
             0.2 * np.ones((3, 1, 1), dtype=complex),
             np.array([[0.05]]),
         )
-        result = find_imaginary_eigenvalues(model)
+        result = solve(model)
         assert result.coverage_gaps() == []
 
     def test_zero_residue_model_is_passive(self):
@@ -88,25 +88,23 @@ class TestDegenerateModels:
 class TestDegenerateBands:
     def test_explicit_narrow_band(self):
         model = random_macromodel(8, 2, seed=201, sigma_target=0.9)
-        result = find_imaginary_eigenvalues(model, omega_min=1.0, omega_max=1.001)
+        result = solve(model, omega_min=1.0, omega_max=1.001)
         assert result.band == (1.0, 1.001)
         assert result.coverage_gaps() == []
 
     def test_band_away_from_dc(self):
         model = random_macromodel(8, 2, seed=202, sigma_target=1.08)
-        full = find_imaginary_eigenvalues(model)
+        full = solve(model)
         if full.num_crossings == 0:
             pytest.skip("model has no crossings")
         w = full.omegas[0]
-        window = find_imaginary_eigenvalues(
-            model, omega_min=max(0.0, w - 0.5), omega_max=w + 0.5
-        )
+        window = solve(model, omega_min=max(0.0, w - 0.5), omega_max=w + 0.5)
         assert any(abs(x - w) < 1e-5 for x in window.omegas)
 
     def test_inverted_band_rejected(self):
         model = random_macromodel(8, 2, seed=203, sigma_target=0.9)
         with pytest.raises(ValueError, match="empty band"):
-            find_imaginary_eigenvalues(model, omega_min=2.0, omega_max=1.0)
+            solve(model, omega_min=2.0, omega_max=1.0)
 
 
 class TestCorruptedFittingData:
@@ -137,24 +135,24 @@ class TestSolverRobustness:
     def test_shift_landing_on_eigenvalue(self):
         """Force a band edge exactly onto a crossing frequency."""
         model = random_macromodel(8, 2, seed=204, sigma_target=1.06)
-        full = find_imaginary_eigenvalues(model)
+        full = solve(model)
         if full.num_crossings == 0:
             pytest.skip("model has no crossings")
         w = float(full.omegas[0])
         # omega_max exactly at the crossing: edge shift sits on it.
-        result = find_imaginary_eigenvalues(model, omega_max=w)
+        result = solve(model, omega_max=w)
         assert any(abs(x - w) < 1e-5 for x in result.omegas)
 
     def test_tight_options_still_correct(self):
         model = random_macromodel(8, 2, seed=205, sigma_target=1.06)
         tight = SolverOptions(krylov_dim=24, num_wanted=2, max_restarts=40)
-        loose = find_imaginary_eigenvalues(model)
-        constrained = find_imaginary_eigenvalues(model, options=tight)
+        loose = solve(model)
+        constrained = solve(model, options=tight)
         assert constrained.num_crossings == loose.num_crossings
 
     def test_large_kappa(self):
         model = random_macromodel(8, 2, seed=206, sigma_target=1.05)
-        result = find_imaginary_eigenvalues(
+        result = solve(
             model, num_threads=2, strategy="queue",
             options=SolverOptions(kappa=6),
         )

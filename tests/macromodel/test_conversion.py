@@ -73,13 +73,13 @@ class TestConversion:
 
     def test_eigensolver_works_on_converted_model(self):
         """End-to-end: dense SS input -> conversion -> crossings."""
-        from repro.core.solver import find_imaginary_eigenvalues
+        from repro.core.solver import solve
         from repro.hamiltonian.spectral import imaginary_eigenvalues_dense
 
         model = random_macromodel(8, 2, seed=55, sigma_target=1.06)
         ss = pole_residue_to_simo(model).to_statespace()
         converted = statespace_to_simo(ss)
-        result = find_imaginary_eigenvalues(converted, num_threads=2)
+        result = solve(converted, num_threads=2)
         truth = imaginary_eigenvalues_dense(pole_residue_to_simo(model))
         assert result.num_crossings == truth.size
         if truth.size:

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.solver import find_imaginary_eigenvalues
+from repro.core.solver import solve
 from repro.hamiltonian.operator import HamiltonianOperator
 from repro.hamiltonian.spectral import (
     full_hamiltonian_spectrum,
@@ -78,7 +78,7 @@ def test_solver_matches_dense_property(seed, violating):
     target = 1.08 if violating else 0.92
     simo = pole_residue_to_simo(model_from(seed, target))
     truth = imaginary_eigenvalues_dense(simo)
-    result = find_imaginary_eigenvalues(simo, num_threads=2, strategy="queue")
+    result = solve(simo, num_threads=2, strategy="queue")
     assert result.num_crossings == truth.size
     if truth.size:
         np.testing.assert_allclose(np.sort(result.omegas), truth, atol=1e-5)
@@ -88,7 +88,7 @@ def test_solver_matches_dense_property(seed, violating):
 @given(seed=st.integers(0, 10_000))
 def test_crossings_sit_on_unit_singular_values(seed):
     simo = pole_residue_to_simo(model_from(seed, 1.1))
-    result = find_imaginary_eigenvalues(simo, num_threads=2, strategy="queue")
+    result = solve(simo, num_threads=2, strategy="queue")
     for w in result.omegas:
         sv = np.linalg.svd(simo.transfer(1j * w), compute_uv=False)
         assert np.min(np.abs(sv - 1.0)) < 1e-5
@@ -99,9 +99,7 @@ def test_crossings_sit_on_unit_singular_values(seed):
 def test_band_coverage_property(seed, threads):
     """The certified disks always cover the swept band completely."""
     simo = pole_residue_to_simo(model_from(seed, 1.05))
-    result = find_imaginary_eigenvalues(
-        simo, num_threads=threads, strategy="queue"
-    )
+    result = solve(simo, num_threads=threads, strategy="queue")
     assert result.coverage_gaps() == []
 
 

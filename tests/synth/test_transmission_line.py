@@ -64,14 +64,14 @@ class TestSolverInteraction:
             assert band.width < 0.2 * span
 
     def test_matches_dense_truth(self):
-        from repro.core.solver import find_imaginary_eigenvalues
+        from repro.core.solver import solve
         from repro.hamiltonian.spectral import imaginary_eigenvalues_dense
         from repro.macromodel import pole_residue_to_simo
 
         model = transmission_line_model(8, 2, seed=8, sigma_target=1.04)
         simo = pole_residue_to_simo(model)
         truth = imaginary_eigenvalues_dense(simo)
-        result = find_imaginary_eigenvalues(simo, num_threads=2)
+        result = solve(simo, num_threads=2)
         assert result.num_crossings == truth.size
         if truth.size:
             np.testing.assert_allclose(np.sort(result.omegas), truth, atol=1e-5)
