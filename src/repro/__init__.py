@@ -28,9 +28,9 @@ Configuration can come from code, dictionaries, or the environment::
     config = config.merged(representation="immittance")
 
 Scheduling strategies are pluggable: ``bisection`` / ``queue`` /
-``static`` / ``process`` ship registered in :mod:`repro.core.registry`,
-and new backends join via :func:`register_strategy` without touching the
-solver.
+``static`` / ``process`` and the full eigensolution ``dense`` ship
+registered in :mod:`repro.core.registry`, and new backends join via
+:func:`register_strategy` without touching the solver.
 """
 
 from repro.api import (

@@ -806,12 +806,13 @@ def _cmd_check(args) -> int:
     report = session.passivity_report
     _say(args, report.summary())
     solve = report.solve
-    _say(
-        args,
-        f"eigensolver: {solve.shifts_processed} shifts,"
-        f" {solve.work['operator_applies']} operator applies,"
-        f" {solve.elapsed:.3f}s",
+    sweep = (
+        ""
+        if solve.strategy == "dense"
+        else f", {solve.shifts_processed} shifts,"
+        f" {solve.work['operator_applies']} operator applies"
     )
+    _say(args, f"eigensolver: {solve.strategy}{sweep}, {solve.elapsed:.3f}s")
     if getattr(args, "plot", False):
         # The ASCII plot draws sigma against the unit threshold — a
         # scattering-domain picture that would contradict an immittance

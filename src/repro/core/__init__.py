@@ -14,6 +14,8 @@ Layering (bottom up):
   classical bisection of Fig. 2 as a placement policy with its interface;
 * :mod:`repro.core.sweep` -- the one claim -> run -> complete loop over
   either, with each shift run inline, on threads, or on a process pool;
+* :mod:`repro.core.dense` -- the full O(n^3) eigensolution that
+  ``strategy="auto"`` picks below the measured crossover order;
 * :mod:`repro.core.registry` -- the pluggable strategy registry the
   built-in strategies register into;
 * :mod:`repro.core.config` -- the single :class:`RunConfig` carrying all

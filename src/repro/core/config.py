@@ -129,8 +129,11 @@ class RunConfig:
     representation:
         ``"scattering"`` (default) or ``"immittance"``.
     strategy:
-        A registered strategy name or ``"auto"`` (bisection when serial,
-        the dynamic queue scheduler otherwise).
+        A registered strategy name or ``"auto"``: the ``dense``
+        eigensolution for a model below
+        :data:`~repro.core.registry.DENSE_MAX_ORDER` with one thread and
+        ``backend="auto"``, else bisection when serial and the dynamic
+        queue scheduler otherwise.
     backend:
         Execution backend: ``"serial"`` (one worker, calling thread),
         ``"thread"`` (thread pool), ``"process"`` (multiprocessing pool
@@ -349,7 +352,14 @@ class RunConfig:
         return self.omega_min > 0.0 or self.omega_max is not None
 
     def resolved_strategy(self) -> str:
-        """The concrete strategy ``"auto"`` resolves to for this config."""
+        """The strategy ``"auto"`` resolves to for a model of unknown order.
+
+        That is the sweep a large model gets.  :func:`~repro.core.solver.solve`
+        resolves with the model's order, so there a model below
+        :data:`~repro.core.registry.DENSE_MAX_ORDER` on one thread with
+        ``backend="auto"`` is solved ``dense``.  Raises
+        :class:`ValueError` on contradictory combinations either way.
+        """
         return resolve_strategy(
             self.strategy, self.num_threads, backend=self.backend
         ).name

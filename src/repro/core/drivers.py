@@ -1,9 +1,10 @@
-"""Plumbing around the sweep loop of :mod:`repro.core.sweep`.
+"""Plumbing around the eigensolves of :mod:`repro.core.sweep` and
+:mod:`repro.core.dense`.
 
-Before the loop: normalize the model, build the instrumented operator,
+Before the solve: normalize the model, build the instrumented operator,
 and resolve the search band.  After it: deduplicate eigenvalues found by
-overlapping disks, keep the purely imaginary ones, and snapshot the work
-counters into a :class:`~repro.core.results.SolveResult`.
+overlapping disks, keep the purely imaginary ones in the band, and
+snapshot the work counters into a :class:`~repro.core.results.SolveResult`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import numpy as np
 
 from repro.core.options import SolverOptions
 from repro.core.results import ShiftRecord, SolveResult
-from repro.core.scheduler import BandScheduler
 from repro.core.single_shift import estimate_spectral_bound
 from repro.hamiltonian.operator import HamiltonianOperator
 from repro.macromodel.rational import PoleResidueModel
@@ -28,6 +28,7 @@ __all__ = [
     "prepare_operator",
     "resolve_band",
     "dedup_eigenvalues",
+    "classify_eigenvalues",
     "collect_result",
 ]
 
@@ -64,21 +65,28 @@ def resolve_band(
     omega_min: float,
     omega_max: Optional[float],
     options: SolverOptions,
-    stream: RandomStream,
+    stream: Optional[RandomStream] = None,
+    *,
+    spectrum: Optional[np.ndarray] = None,
 ) -> Tuple[float, float]:
     """Determine the search band, estimating the upper edge if needed.
 
     Per Sec. IV.A the upper bound defaults to (a margin above) the
     magnitude of the largest Hamiltonian eigenvalue, obtained with a
-    shift-free Arnoldi run.
+    shift-free Arnoldi run from ``stream``.  A dense solve passes the
+    full ``spectrum`` instead, whose largest magnitude is the exact value
+    that run estimates.
     """
     omega_min = float(omega_min)
     if omega_min < 0.0:
         raise ValueError(f"omega_min must be >= 0, got {omega_min}")
     if omega_max is None:
-        estimate = estimate_spectral_bound(
-            op, stream=stream, margin=options.omega_margin
-        )
+        if spectrum is None:
+            estimate = estimate_spectral_bound(
+                op, stream=stream, margin=options.omega_margin
+            )
+        else:
+            estimate = options.omega_margin * float(np.max(np.abs(spectrum)))
         floor = max(1e-6, 1e-3 * op.simo.spectral_radius_bound())
         omega_max = max(estimate, floor)
     omega_max = float(omega_max)
@@ -117,52 +125,69 @@ def dedup_eigenvalues(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(kept, dtype=complex)
 
 
+def classify_eigenvalues(
+    eigenvalues: np.ndarray,
+    band: Tuple[float, float],
+    scale: float,
+    options: SolverOptions,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Deduplicate ``eigenvalues`` and pick the crossings in ``band``.
+
+    An eigenvalue is purely imaginary when ``|Re lambda| <= imag_rtol *
+    max(scale, |lambda|)``; its imaginary part is a crossing when it lies
+    in the band widened by ``imag_rtol * scale`` on either side, and is
+    non-negative when the band starts at 0.
+
+    Returns
+    -------
+    (distinct, omegas)
+        The deduplicated eigenvalues and the sorted crossing frequencies.
+    """
+    omega_min, omega_max = band
+    distinct = dedup_eigenvalues(
+        eigenvalues, options.dedup_rtol * max(scale, omega_max)
+    )
+    imag_tol = options.imag_rtol * np.maximum(scale, np.abs(distinct))
+    omegas = distinct[np.abs(distinct.real) <= imag_tol].imag
+    slack = options.imag_rtol * scale
+    in_band = (omegas >= omega_min - slack) & (omegas <= omega_max + slack)
+    omegas = np.sort(omegas[in_band])
+    if omega_min == 0.0:
+        omegas = omegas[omegas >= 0.0]
+    return distinct, omegas
+
+
 def collect_result(
     op: HamiltonianOperator,
-    scheduler: BandScheduler,
+    band: Tuple[float, float],
     records: List[ShiftRecord],
     options: SolverOptions,
     elapsed: float,
+    *,
     num_threads: int,
     strategy: str,
+    eliminated: int = 0,
 ) -> SolveResult:
-    """Assemble the final :class:`SolveResult` from per-shift records."""
+    """Assemble the final :class:`SolveResult` from per-shift records.
+
+    ``eliminated`` counts the tentative shifts a completed disk covered
+    (eq. 24).
+    """
     work = op.work
     if work is not None:
-        work.add(
-            shifts_processed=len(records), shifts_eliminated=scheduler.eliminated
-        )
-    scale = max(1.0, op.simo.spectral_radius_bound())
-
+        work.add(shifts_processed=len(records), shifts_eliminated=eliminated)
     all_eigs = (
         np.concatenate([rec.result.eigenvalues for rec in records])
         if records
         else np.empty(0, dtype=complex)
     )
-    tol = options.dedup_rtol * max(scale, scheduler.omega_max)
-    distinct = dedup_eigenvalues(all_eigs, tol)
-
-    imag_tol = (
-        options.imag_rtol * np.maximum(scale, np.abs(distinct))
-        if distinct.size
-        else None
+    distinct, omegas = classify_eigenvalues(
+        all_eigs, band, max(1.0, op.simo.spectral_radius_bound()), options
     )
-    if distinct.size:
-        mask = np.abs(distinct.real) <= imag_tol
-        omegas = distinct[mask].imag
-        slack = options.imag_rtol * scale
-        in_band = (omegas >= scheduler.omega_min - slack) & (
-            omegas <= scheduler.omega_max + slack
-        )
-        omegas = np.sort(omegas[in_band])
-        omegas = omegas[omegas >= 0.0] if scheduler.omega_min == 0.0 else omegas
-    else:
-        omegas = np.empty(0, dtype=float)
-
     return SolveResult(
         omegas=omegas,
         eigenvalues=distinct,
-        band=scheduler.band,
+        band=band,
         shifts=list(records),
         work=work.snapshot() if work is not None else {},
         elapsed=float(elapsed),

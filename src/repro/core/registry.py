@@ -24,7 +24,8 @@ no dispatcher edits required::
 The built-in ``bisection`` / ``queue`` / ``static`` / ``process``
 strategies are themselves registered through the same mechanism at the
 bottom of this module, each as the one sweep loop of
-:mod:`repro.core.sweep` under its own name.
+:mod:`repro.core.sweep` under its own name, and so is ``dense``, the
+full eigensolution of :mod:`repro.core.dense`.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from repro.utils.validation import ensure_choice, ensure_positive_int
 __all__ = [
     "AUTO_DESCRIPTION",
     "BACKENDS",
+    "DENSE_MAX_ORDER",
     "StrategySpec",
     "register_strategy",
     "unregister_strategy",
@@ -50,7 +52,8 @@ __all__ = [
     "AUTO_BACKEND",
 ]
 
-#: Pseudo-strategy resolved at dispatch time from the thread count.
+#: Pseudo-strategy resolved at dispatch time from the thread count,
+#: the backend and the model order.
 AUTO_STRATEGY = "auto"
 
 #: Pseudo-backend meaning "whatever the strategy implies".
@@ -62,10 +65,43 @@ AUTO_BACKEND = "auto"
 #: multi-core scaling.  ``"auto"`` defers to the strategy resolution.
 BACKENDS = (AUTO_BACKEND, "serial", "thread", "process")
 
+#: Model order from which ``"auto"`` sweeps instead of solving densely.
+#: Below it, one dense eigensolution of the ``2n x 2n`` Hamiltonian beats
+#: the serial bisection sweep on one core.  Measured on a shared 2-core
+#: x86-64 VM, BLAS pinned to one thread, ``random_simo_macromodel(n, p,
+#: seed=5, sigma_target=1.05)`` at default options, seconds for dense /
+#: bisection (best of 3 up to n = 1200, one run above; runs of one row
+#: spread up to 1.6x; both found the same crossings on every row):
+#:
+#: ======  =============  ==============
+#:   n      p = 4          p = 20
+#: ======  =============  ==============
+#:     48  0.004 / 0.097  --
+#:    150  --             0.041 / 0.340
+#:    200  0.088 / 0.729  --
+#:    300  --             0.215 / 0.933
+#:    400  0.315 / 0.934  --
+#:    600  0.996 / 1.487  0.836 / 1.945
+#:    800  2.26 / 3.43    2.20 / 2.87
+#:   1000  3.09 / 3.78    3.22 / 3.91
+#:   1200  5.77 / 5.33    6.17 / 6.45
+#:   1300  9.09 / 6.22    8.32 / 6.54
+#:   1400  9.71 / 8.00    10.9 / 8.22
+#:   1500  13.8 / 9.37    15.1 / 12.1
+#: ======  =============  ==============
+#:
+#: Dense wins below n ~ 1150 at p = 4 and below n ~ 1200 at p = 20; 1000
+#: keeps a margin at both.  Memory: at n = 999 the Hamiltonian alone is a
+#: 1998 x 1998 float64 matrix (32 MB); LAPACK works on a Fortran-ordered
+#: copy of it, and the solve peaks at 73 MB of numpy allocations.  Not a
+#: knob: an explicit strategy, backend or thread count picks a sweep.
+DENSE_MAX_ORDER = 1000
+
 #: Human-readable statement of the ``"auto"`` resolution rule; keep in
 #: sync with :func:`resolve_strategy` (single source for UIs to print).
 AUTO_DESCRIPTION = (
-    "bisection when single-threaded, else queue;"
+    f"dense below order {DENSE_MAX_ORDER} with one thread and backend=auto,"
+    " else bisection when single-threaded, queue otherwise;"
     " backend=serial/thread/process forces bisection/queue/process"
 )
 
@@ -212,20 +248,29 @@ def get_strategy(name: str) -> StrategySpec:
 
 
 def resolve_strategy(
-    name: str, num_threads: int, *, backend: str = AUTO_BACKEND
+    name: str,
+    num_threads: int,
+    *,
+    backend: str = AUTO_BACKEND,
+    order: Optional[int] = None,
 ) -> StrategySpec:
     """Resolve a strategy string (possibly ``"auto"``) against a thread count.
 
-    ``"auto"`` follows the paper's guidance — classical bisection when
+    ``"auto"`` picks the ``dense`` eigensolution when the backend is
+    ``"auto"``, one thread is requested and the model ``order`` is below
+    :data:`DENSE_MAX_ORDER`, where it beats the sweep on one core.
+    Otherwise it follows the paper's guidance — classical bisection when
     single-threaded, the dynamic queue scheduler otherwise — unless the
     ``backend`` axis steers it: ``"serial"`` forces ``bisection``,
     ``"thread"`` forces ``queue``, ``"process"`` forces the
-    multiprocessing ``process`` driver.  An explicit strategy name wins
-    over ``backend="auto"``, but an explicit backend the named driver
-    cannot honor (``strategy="bisection", backend="process"``) is
-    rejected.  The resolved spec is checked against the thread count, so
-    e.g. requesting the sequential ``bisection`` driver with multiple
-    threads fails here with a single, consistent message.
+    multiprocessing ``process`` driver.  Without an ``order`` (a config
+    resolved before any model exists) ``"auto"`` never picks ``dense``.
+    An explicit strategy name wins over ``backend="auto"``, but an
+    explicit backend the named driver cannot honor
+    (``strategy="bisection", backend="process"``) is rejected.  The
+    resolved spec is checked against the thread count, so e.g.
+    requesting the sequential ``bisection`` driver with multiple threads
+    fails here with a single, consistent message.
     """
     num_threads = ensure_positive_int(num_threads, "num_threads")
     ensure_strategy(name)
@@ -242,8 +287,12 @@ def resolve_strategy(
             name = "queue"
         elif backend == "process":
             name = "process"
+        elif num_threads > 1:
+            name = "queue"
+        elif order is not None and order < DENSE_MAX_ORDER:
+            name = "dense"
         else:
-            name = "bisection" if num_threads == 1 else "queue"
+            name = "bisection"
     # get_strategy rather than raw indexing: if a built-in auto target was
     # unregistered, fail with the canonical unknown-strategy message.
     spec = get_strategy(name)
@@ -259,6 +308,7 @@ def resolve_strategy(
 
 
 def _register_builtins() -> None:
+    from repro.core.dense import dense
     from repro.core.sweep import sweep
 
     def builtin(name: str, **spec) -> None:
@@ -280,6 +330,15 @@ def _register_builtins() -> None:
         backends=("thread",),
         description="static pre-distributed grid (ablation baseline, no elimination)",
     )
+    register_strategy(
+        "dense",
+        max_threads=1,
+        backends=("serial",),
+        description=(
+            "full O(n^3) eigensolution of the 2n x 2n Hamiltonian (Sec. III"
+            f" baseline; auto below order {DENSE_MAX_ORDER})"
+        ),
+    )(dense)
     builtin(
         "process",
         backends=("process",),

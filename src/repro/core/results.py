@@ -136,7 +136,7 @@ class ShiftRecord:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Complete output of a band sweep (serial or parallel).
+    """Complete output of a band sweep (serial or parallel) or dense solve.
 
     Attributes
     ----------
@@ -159,8 +159,9 @@ class SolveResult:
     num_threads:
         Number of worker threads used (1 for serial drivers).
     strategy:
-        Scheduling strategy identifier (``"queue"``, ``"bisection"``,
-        ``"static"``).
+        The strategy that ran: ``"dense"`` (one full eigensolution,
+        recorded as one disk), ``"bisection"``, ``"queue"``,
+        ``"static"`` or ``"process"``, or a plugin's name.
     """
 
     omegas: np.ndarray

@@ -43,7 +43,10 @@ def solve(
     config:
         The run configuration; defaults apply when omitted.  Its
         ``omega_max=None`` estimates the upper band edge from the largest
-        Hamiltonian eigenvalue magnitude (Sec. IV.A).
+        Hamiltonian eigenvalue magnitude (Sec. IV.A).  Its strategy is
+        resolved against ``model.order``: ``"auto"`` solves a model below
+        :data:`~repro.core.registry.DENSE_MAX_ORDER` on one thread with
+        the ``dense`` eigensolution.
     **overrides:
         Per-call :meth:`RunConfig.merged` overrides, any
         :class:`~repro.core.config.RunConfig` field, e.g.
@@ -67,14 +70,18 @@ def solve(
     config = config if config is not None else RunConfig()
     if overrides:
         config = config.merged(**overrides)
+    # A wrong input type resolves without an order; its driver raises the
+    # TypeError.
+    order = getattr(model, "order", None)
     spec = resolve_strategy(
-        config.strategy, config.num_threads, backend=config.backend
+        config.strategy, config.num_threads, backend=config.backend, order=order
     )
     with _obs_trace.span(
         "solve.sweep",
-        strategy=config.strategy,
+        strategy=spec.name,
+        order=order,
         threads=config.num_threads,
-    ):
+    ) as sweep_span:
         result = spec.driver(
             model,
             num_threads=config.num_threads,
@@ -83,6 +90,8 @@ def solve(
             omega_max=config.omega_max,
             options=config.options,
         )
+        # What ran: a process sweep of a small model runs on threads.
+        sweep_span.annotate("strategy", getattr(result, "strategy", spec.name))
     # A NaN/Inf crossing frequency means the eigensolve itself broke
     # down (singular pencil, overflowed Hamiltonian) — surface it as a
     # structured diagnostic, never as a silently wrong passivity verdict.

@@ -377,10 +377,11 @@ def sweep(
     )
     return collect_result(
         op,
-        scheduler,
+        scheduler.band,
         records,
         options,
         elapsed,
         num_threads=num_threads,
         strategy=strategy,
+        eliminated=scheduler.eliminated,
     )

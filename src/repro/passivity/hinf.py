@@ -132,8 +132,8 @@ def hinf_norm(
     config:
         A full :class:`~repro.core.config.RunConfig` for the embedded
         sweeps; supersedes ``num_threads`` / ``options``.  The
-        ``strategy`` is honored (``"auto"`` resolves per thread count as
-        usual); explicit ``omega_min`` / ``omega_max`` are rejected —
+        ``strategy`` is honored (``"auto"`` resolves per thread count and
+        model order as usual); explicit ``omega_min`` / ``omega_max`` are rejected —
         the norm is a supremum over the whole axis.
 
     Returns

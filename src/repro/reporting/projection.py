@@ -100,9 +100,11 @@ def project_speedup(
     w1 = serial.work.get("operator_applies", 0)
     wt = parallel.work.get("operator_applies", 0)
     durations = [rec.result.applies for rec in parallel.shifts]
-    # Applies not attributable to a shift (band estimation, etc.) are
-    # spread implicitly: the makespan uses per-shift work only, while W_T
-    # uses the full counter; both choices are stated in EXPERIMENTS.md.
+    # Applies not attributable to a shift (band estimation, etc.) enter
+    # the two ratios differently.  The makespan replays per-shift work
+    # only, so it leaves out the parallel run's share of them, while its
+    # numerator W_1 keeps the serial run's share.  eta_ideal takes the
+    # full counters on both sides (W_1 and W_T).
     makespan = simulate_makespan(durations, num_threads)
     return SpeedupProjection(
         work_serial=int(w1),

@@ -39,9 +39,12 @@ __all__ = [
 ]
 
 #: Bumped whenever the stored payload format (or key document layout)
-#: changes incompatibly.  Part of every key *and* every entry envelope:
-#: entries written under another schema are treated as misses.
-STORE_SCHEMA_VERSION = 1
+#: changes incompatibly, or a key starts to mean a different computation.
+#: Part of every key *and* every entry envelope: entries written under
+#: another schema are treated as misses.  Version 2: ``"strategy":
+#: "auto"`` solves small single-thread models with the ``dense``
+#: strategy, so no sweep result cached under version 1 is served for it.
+STORE_SCHEMA_VERSION = 2
 
 #: RunConfig fields that control cache behavior rather than the
 #: computation itself; excluded from the key document.

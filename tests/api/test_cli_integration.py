@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.registry import DENSE_MAX_ORDER
 from repro.synth import random_macromodel
 from repro.touchstone import write_touchstone
 
@@ -112,8 +113,9 @@ class TestStrategiesCommand:
     def test_lists_builtins(self, capsys):
         assert main(["strategies"]) == 0
         out = capsys.readouterr().out
-        for name in ("bisection", "queue", "static", "auto"):
+        for name in ("bisection", "dense", "queue", "static", "auto"):
             assert name in out
+        assert f"dense below order {DENSE_MAX_ORDER}" in out
         assert "scattering" in out
 
 

@@ -56,7 +56,7 @@ class TestPassivityReport:
     def test_include_solve(self, model):
         report = characterize_passivity(model)
         payload = round_trip(report.to_dict(include_solve=True))
-        assert payload["solve"]["strategy"] == "bisection"
+        assert payload["solve"]["strategy"] == "dense"
 
     def test_band_limited_report_is_qualified(self, model):
         # The model's violation lies near w~0.66; sweep a band above it.

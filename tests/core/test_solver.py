@@ -20,9 +20,9 @@ def truth(model):
 
 
 class TestStrategies:
-    def test_auto_serial_uses_bisection(self, model):
+    def test_auto_serial_small_model_uses_dense(self, model):
         result = solve(model, num_threads=1)
-        assert result.strategy == "bisection"
+        assert result.strategy == "dense"
 
     def test_auto_parallel_uses_queue(self, model):
         result = solve(model, num_threads=2)
