@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import registry
 from repro.core.solver import solve
 from repro.hamiltonian.spectral import imaginary_eigenvalues_dense
 from repro.macromodel.realization import pole_residue_to_simo
@@ -20,6 +21,14 @@ def truth(model):
 
 
 class TestStrategies:
+    def test_auto_serial_uses_bisection(self, model, monkeypatch):
+        # At or above the dense crossover, auto on one thread runs the
+        # classical bisection sweep; lower the crossover to this model's
+        # order so the small fixture takes that path.
+        monkeypatch.setattr(registry, "DENSE_MAX_ORDER", model.order)
+        result = solve(model, num_threads=1)
+        assert result.strategy == "bisection"
+
     def test_auto_serial_small_model_uses_dense(self, model):
         result = solve(model, num_threads=1)
         assert result.strategy == "dense"
