@@ -25,7 +25,6 @@ import time
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from repro.core.drivers import (
     ModelInput,
@@ -35,7 +34,7 @@ from repro.core.drivers import (
 )
 from repro.core.options import SolverOptions
 from repro.core.results import ShiftRecord, SingleShiftResult, SolveResult
-from repro.hamiltonian.dense import dense_hamiltonian
+from repro.hamiltonian.spectral import full_hamiltonian_spectrum
 
 __all__ = ["dense"]
 
@@ -59,7 +58,7 @@ def dense(
     """
     simo, op, _ = prepare_operator(model, representation)
     started = time.perf_counter()
-    spectrum = scipy.linalg.eigvals(dense_hamiltonian(simo, representation))
+    spectrum = full_hamiltonian_spectrum(simo, representation)
     band = resolve_band(op, omega_min, omega_max, options, spectrum=spectrum)
     center = 0.5 * (band[0] + band[1])
     radius = max(

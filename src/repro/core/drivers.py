@@ -28,7 +28,6 @@ __all__ = [
     "prepare_operator",
     "resolve_band",
     "dedup_eigenvalues",
-    "classify_eigenvalues",
     "collect_result",
 ]
 
@@ -125,38 +124,6 @@ def dedup_eigenvalues(eigenvalues: np.ndarray, tol: float) -> np.ndarray:
     return np.asarray(kept, dtype=complex)
 
 
-def classify_eigenvalues(
-    eigenvalues: np.ndarray,
-    band: Tuple[float, float],
-    scale: float,
-    options: SolverOptions,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Deduplicate ``eigenvalues`` and pick the crossings in ``band``.
-
-    An eigenvalue is purely imaginary when ``|Re lambda| <= imag_rtol *
-    max(scale, |lambda|)``; its imaginary part is a crossing when it lies
-    in the band widened by ``imag_rtol * scale`` on either side, and is
-    non-negative when the band starts at 0.
-
-    Returns
-    -------
-    (distinct, omegas)
-        The deduplicated eigenvalues and the sorted crossing frequencies.
-    """
-    omega_min, omega_max = band
-    distinct = dedup_eigenvalues(
-        eigenvalues, options.dedup_rtol * max(scale, omega_max)
-    )
-    imag_tol = options.imag_rtol * np.maximum(scale, np.abs(distinct))
-    omegas = distinct[np.abs(distinct.real) <= imag_tol].imag
-    slack = options.imag_rtol * scale
-    in_band = (omegas >= omega_min - slack) & (omegas <= omega_max + slack)
-    omegas = np.sort(omegas[in_band])
-    if omega_min == 0.0:
-        omegas = omegas[omegas >= 0.0]
-    return distinct, omegas
-
-
 def collect_result(
     op: HamiltonianOperator,
     band: Tuple[float, float],
@@ -176,14 +143,32 @@ def collect_result(
     work = op.work
     if work is not None:
         work.add(shifts_processed=len(records), shifts_eliminated=eliminated)
+    omega_min, omega_max = band
+    scale = max(1.0, op.simo.spectral_radius_bound())
+
     all_eigs = (
         np.concatenate([rec.result.eigenvalues for rec in records])
         if records
         else np.empty(0, dtype=complex)
     )
-    distinct, omegas = classify_eigenvalues(
-        all_eigs, band, max(1.0, op.simo.spectral_radius_bound()), options
+    tol = options.dedup_rtol * max(scale, omega_max)
+    distinct = dedup_eigenvalues(all_eigs, tol)
+
+    imag_tol = (
+        options.imag_rtol * np.maximum(scale, np.abs(distinct))
+        if distinct.size
+        else None
     )
+    if distinct.size:
+        mask = np.abs(distinct.real) <= imag_tol
+        omegas = distinct[mask].imag
+        slack = options.imag_rtol * scale
+        in_band = (omegas >= omega_min - slack) & (omegas <= omega_max + slack)
+        omegas = np.sort(omegas[in_band])
+        omegas = omegas[omegas >= 0.0] if omega_min == 0.0 else omegas
+    else:
+        omegas = np.empty(0, dtype=float)
+
     return SolveResult(
         omegas=omegas,
         eigenvalues=distinct,

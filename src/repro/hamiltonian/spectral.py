@@ -4,10 +4,10 @@ The paper dismisses this route for large models ("a standard full
 eigensolution scales as the third power of the problem size") but it remains
 the ground truth for validating the fast solver on small and medium sizes,
 and the baseline for the complexity-ablation benchmark.  Below the measured
-crossover order (:data:`repro.core.registry.DENSE_MAX_ORDER`) the same
-LAPACK eigensolution also backs the solver itself: ``strategy="auto"``
-picks the ``dense`` strategy of :mod:`repro.core.dense` there, which
-classifies the spectrum like a sweep does.  :func:`imaginary_eigenvalues_dense`
+crossover order (:data:`repro.core.registry.DENSE_MAX_ORDER`)
+:func:`full_hamiltonian_spectrum` also backs the solver itself:
+``strategy="auto"`` picks the ``dense`` strategy of :mod:`repro.core.dense`
+there, which classifies the spectrum like a sweep does.  :func:`imaginary_eigenvalues_dense`
 stays the independent oracle the tests compare against.
 """
 
