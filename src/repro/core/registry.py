@@ -67,11 +67,12 @@ BACKENDS = (AUTO_BACKEND, "serial", "thread", "process")
 
 #: Model order from which ``"auto"`` sweeps instead of solving densely.
 #: Below it, one dense eigensolution of the ``2n x 2n`` Hamiltonian beats
-#: the serial bisection sweep on one core.  Measured on a shared 2-core
-#: x86-64 VM, BLAS pinned to one thread, ``random_simo_macromodel(n, p,
-#: seed=5, sigma_target=1.05)`` at default options, seconds for dense /
-#: bisection (best of 3 up to n = 1200, one run above; runs of one row
-#: spread up to 1.6x; both found the same crossings on every row):
+#: the serial bisection sweep, or with BLAS pinned to one thread stays
+#: within 15% of it.  Measured on a shared 2-core x86-64 VM, BLAS pinned
+#: to one thread, ``random_simo_macromodel(n, p, seed=5,
+#: sigma_target=1.05)`` at default options, seconds for dense / bisection
+#: (best of 3 up to n = 1200, one run above; runs of one row spread up to
+#: 1.6x; both found the same crossings on every row):
 #:
 #: ======  =============  ==============
 #:   n      p = 4          p = 20
@@ -90,8 +91,31 @@ BACKENDS = (AUTO_BACKEND, "serial", "thread", "process")
 #:   1500  13.8 / 9.37    15.1 / 12.1
 #: ======  =============  ==============
 #:
-#: Dense wins below n ~ 1150 at p = 4 and below n ~ 1200 at p = 20; 1000
-#: keeps a margin at both.  Memory: at n = 999 the Hamiltonian alone is a
+#: On this family dense wins below n ~ 1150 at p = 4 and below n ~ 1200
+#: at p = 20.  Two more families, seed 5: ``random_macromodel``
+#: common-pole models (the shape vector fitting returns) and
+#: ``transmission_line_model`` combs.  Cells are dense / bisection time
+#: ratios at p = 4 / p = 20.  Pinned: best of 3 interleaved runs, one run
+#: at n = 1400 (the table above for its family).  Unpinned: both OpenBLAS
+#: copies on their default 2 threads, as the CLI, batch runner and
+#: service run; best of 2 up to n = 1000, one run above:
+#:
+#: =====  =========  =========  =========  =========  =========  =========
+#:        table family          common-pole           comb
+#: -----  --------------------  --------------------  --------------------
+#:   n    pinned     unpinned   pinned     unpinned   pinned     unpinned
+#: =====  =========  =========  =========  =========  =========  =========
+#:   800  0.58/0.55  0.53/0.40  0.66/0.75  0.55/0.58  0.59/0.88  0.42/0.68
+#:  1000  0.87/0.78  0.64/0.55  0.94/1.14  0.67/0.89  0.87/1.04  0.56/0.77
+#:  1200  1.18/1.01  0.86/0.67  1.36/1.15  0.90/0.84  1.10/1.45  0.72/0.98
+#:  1400  1.21/1.33  1.06/0.89  1.45/1.43  1.10/1.09  1.26/1.72  0.94/1.14
+#: =====  =========  =========  =========  =========  =========  =========
+#:
+#: Pinned, the other two families cross near n = 1000 at p = 20, so just
+#: below the constant dense can take up to 14% longer than the sweep.
+#: Unpinned, dense wins every row up to n = 1200, so 1000 keeps a margin
+#: there.  Not measured: hosts with more cores, and several workers
+#: sharing the cores.  Memory: at n = 999 the Hamiltonian alone is a
 #: 1998 x 1998 float64 matrix (32 MB); LAPACK works on a Fortran-ordered
 #: copy of it, and the solve peaks at 73 MB of numpy allocations.  Not a
 #: knob: an explicit strategy, backend or thread count picks a sweep.
