@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -248,14 +248,6 @@ class MetricsRegistry:
         1
         """
         return _Timer(self, name)
-
-    def time_call(self, name: str, fn: Callable, *args, **kwargs):
-        """Call ``fn`` timing it into histogram ``name``; return its result."""
-        started = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            self.observe(name, time.perf_counter() - started)
 
     # -- reading ------------------------------------------------------------
 

@@ -36,7 +36,6 @@ Environment (strict ``REPRO_*`` parsing; malformed values raise
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -524,8 +523,3 @@ def _depth_of(
         if candidate is node:
             return depth
     return 0
-
-
-def spans_to_json(spans: List[Dict[str, Any]]) -> str:
-    """Canonical single-line JSON encoding (persistence, transport)."""
-    return json.dumps(spans, sort_keys=True, default=str)

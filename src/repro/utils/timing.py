@@ -1,4 +1,4 @@
-"""Wall-clock and work-unit instrumentation.
+"""Work-unit instrumentation.
 
 The paper evaluates its parallel solver by CPU time and speedup factors
 (Table I, Fig. 6).  A CPython reproduction cannot rely on wall-clock alone
@@ -12,59 +12,10 @@ elimination — independently of the host interpreter.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-__all__ = ["Stopwatch", "WorkCounter"]
-
-
-class Stopwatch:
-    """A simple re-entrant wall-clock stopwatch.
-
-    Examples
-    --------
-    >>> sw = Stopwatch()
-    >>> with sw:
-    ...     pass
-    >>> sw.elapsed >= 0.0
-    True
-    """
-
-    def __init__(self) -> None:
-        self._elapsed = 0.0
-        self._started_at: Optional[float] = None
-
-    def start(self) -> "Stopwatch":
-        """Start (or restart) timing; returns self for chaining."""
-        self._started_at = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop timing and return the accumulated elapsed seconds."""
-        if self._started_at is not None:
-            self._elapsed += time.perf_counter() - self._started_at
-            self._started_at = None
-        return self._elapsed
-
-    def reset(self) -> None:
-        """Zero the accumulated time."""
-        self._elapsed = 0.0
-        self._started_at = None
-
-    @property
-    def elapsed(self) -> float:
-        """Accumulated seconds, including any currently running span."""
-        running = 0.0
-        if self._started_at is not None:
-            running = time.perf_counter() - self._started_at
-        return self._elapsed + running
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+__all__ = ["WorkCounter"]
 
 
 @dataclass

@@ -136,11 +136,6 @@ class TestMetricsRegistry:
         assert summary["count"] == 1
         assert summary["p50"] is not None
 
-    def test_time_call_returns_value(self):
-        reg = MetricsRegistry()
-        assert reg.time_call("f", lambda: 42) == 42
-        assert reg.snapshot()["timings"]["f"]["count"] == 1
-
     def test_merge_snapshot_folds_counters(self):
         reg = MetricsRegistry()
         reg.count("a", 2)

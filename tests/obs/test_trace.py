@@ -1,6 +1,5 @@
 """Unit tests for the span tracer (:mod:`repro.obs.trace`)."""
 
-import json
 import time
 
 import pytest
@@ -208,11 +207,6 @@ class TestTreeAndWaterfall:
         )
         indent = lambda l: len(l) - len(l.lstrip())  # noqa: E731
         assert indent(stage_line) > indent(job_line)
-
-    def test_spans_serialize_to_json(self):
-        spans = self._sample_spans()
-        decoded = json.loads(trace.spans_to_json(spans))
-        assert len(decoded) == len(spans)
 
 
 class TestDurableRing:

@@ -4,41 +4,7 @@ import threading
 
 import pytest
 
-from repro.utils.timing import Stopwatch, WorkCounter
-
-
-class TestStopwatch:
-    def test_context_manager_accumulates(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        assert sw.elapsed >= 0.0
-
-    def test_stop_returns_elapsed(self):
-        sw = Stopwatch().start()
-        out = sw.stop()
-        assert out == pytest.approx(sw.elapsed)
-
-    def test_reset_zeroes(self):
-        sw = Stopwatch().start()
-        sw.stop()
-        sw.reset()
-        assert sw.elapsed == 0.0
-
-    def test_running_elapsed_grows(self):
-        sw = Stopwatch().start()
-        first = sw.elapsed
-        second = sw.elapsed
-        assert second >= first
-
-    def test_multiple_spans_accumulate(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        first = sw.elapsed
-        with sw:
-            pass
-        assert sw.elapsed >= first
+from repro.utils.timing import WorkCounter
 
 
 class TestWorkCounter:
