@@ -640,23 +640,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="time (and optionally profile) the named pipeline bench stages",
+        help="time (and optionally profile) the named bench stages",
     )
     bench.add_argument(
         "stages",
         nargs="*",
         metavar="STAGE",
-        help="stages to run (default: eigensweep vector_fit enforcement;"
-        " see repro.obs.benchstage)",
+        help="stages to run (default: the serial tier; see"
+        " repro.obs.benchstage)",
     )
     bench.add_argument(
         "--scale",
         type=float,
         default=0.05,
-        help="model-order scale factor of the seeded reference model",
+        help="model-order scale factor of the seeded models, in (0, 1]",
     )
     bench.add_argument(
-        "--threads", type=int, default=2, help="solver threads per stage"
+        "--threads",
+        type=int,
+        default=2,
+        help="solver threads (or workers) per stage, at least 1",
     )
     bench.add_argument(
         "--profile",
@@ -1378,34 +1381,30 @@ def _cmd_strategies(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.obs.benchstage import DEFAULT_STAGES, run_bench_stages
+    from repro.obs.benchstage import StageCheckError, run_bench_stages
 
-    stages = args.stages or list(DEFAULT_STAGES)
-    records = run_bench_stages(
-        stages,
-        scale=args.scale,
-        threads=args.threads,
-        profile=args.profile,
-        profile_sort=args.profile_sort,
-        profile_top=args.profile_top,
-    )
-    for record in records:
-        line = f"{record['name']:<14} {record['seconds']:.4f}s"
-        if args.profile and record.get("profile"):
+    try:
+        payload = run_bench_stages(
+            args.stages,
+            scale=args.scale,
+            threads=args.threads,
+            profile=args.profile,
+            profile_sort=args.profile_sort,
+            profile_top=args.profile_top,
+        )
+    except StageCheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    for record in payload["stages"]:
+        line = f"{record['name']:<20} {record['seconds']:.4f}s"
+        if args.profile and record["profile"]["top"]:
             hottest = record["profile"]["top"][0]
             line += (
                 f"  hottest: {hottest['function']}"
                 f" ({hottest[args.profile_sort]:.4f}s {args.profile_sort})"
             )
         print(line, file=sys.stderr)
-    document = {
-        "scale": args.scale,
-        "threads": args.threads,
-        "profiled": bool(args.profile),
-        "profile_sort": args.profile_sort if args.profile else None,
-        "stages": records,
-    }
-    text = json.dumps(document, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.output:
         Path(args.output).write_text(text + "\n")

@@ -2,7 +2,7 @@
 
 The paper's headline claim is *speed* — parallel Hamiltonian-based
 passivity verification — so this package is the layer that turns
-"should be faster" into a measurement.  Three pieces:
+"should be faster" into a measurement.  Four pieces:
 
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry`
   of counters, gauges, timers, and fixed-bucket latency histograms
@@ -12,9 +12,9 @@ passivity verification — so this package is the layer that turns
 * :mod:`repro.obs.profiler` — a thin :mod:`cProfile` harness emitting
   top-N hot-function reports as plain JSON-serializable dicts
   (``repro bench --profile``, ``repro profile <subcommand...>``).
-* :mod:`repro.obs.benchstage` — the named bench stages the CLI's
-  ``repro bench`` command runs (eigensweep, vector fit, enforcement),
-  shared with the profiling harness.
+* :mod:`repro.obs.benchstage` — the one table of bench stages, run by
+  ``repro bench`` and ``benchmarks/run.py``.  This package does not
+  import it, so the table adds nothing to the service's import path.
 * :mod:`repro.obs.trace` — a zero-dependency span tracer with explicit
   cross-process context propagation: the per-job causal timeline behind
   ``GET /v1/jobs/<id>/trace`` and ``repro trace <job-id>``.

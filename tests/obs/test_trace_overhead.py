@@ -2,7 +2,7 @@
 two-thread eigensweep must stay within 3% of the untraced timing.
 
 The timed unit is one seeded two-thread passivity characterization — the
-computation of the ``repro bench`` eigensweep stage — of a small model
+computation of the ``repro bench`` characterization stage — of a small model
 built once up front, so every timed sample is sweep work (about 40 ms).
 On a shared 2-core host, single timings of identical work spread by
 10-20%, so the minimum or median of a handful of runs reads host noise,
