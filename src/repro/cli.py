@@ -646,8 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stages",
         nargs="*",
         metavar="STAGE",
-        help="stages to run (default: the serial tier; see"
-        " repro.obs.benchstage)",
+        help="stages to run (default: the serial tier; see repro.obs.benchstage)",
     )
     bench.add_argument(
         "--scale",
@@ -1397,7 +1396,7 @@ def _cmd_bench(args) -> int:
         return 3
     for record in payload["stages"]:
         line = f"{record['name']:<20} {record['seconds']:.4f}s"
-        if args.profile and record["profile"]["top"]:
+        if args.profile and record.get("profile"):
             hottest = record["profile"]["top"][0]
             line += (
                 f"  hottest: {hottest['function']}"

@@ -47,7 +47,7 @@ from repro.obs.profiler import profile_call
 from repro.passivity.characterization import characterize_passivity
 from repro.passivity.enforcement import enforce_passivity
 from repro.passivity.sampling import sampled_violations
-from repro.queue import JobQueue, QueueConfig, QueueWorker, parse_spec
+from repro.queue import TERMINAL_STATES, JobQueue, QueueConfig, QueueWorker, parse_spec
 from repro.synth.generator import random_macromodel, random_simo_macromodel
 from repro.synth.transmission_line import transmission_line_model
 from repro.synth.workloads import TABLE1_CASES, build_case
@@ -186,9 +186,7 @@ def _vector_fit(scale: float, threads: int) -> StageResult:
     model = _reference_model(scale)
     freqs = np.linspace(0.01, 16.0, 300)
     samples = model.frequency_response(freqs)
-    fit, seconds = _timed(
-        lambda: vector_fit(freqs, samples, num_poles=model.num_poles)
-    )
+    fit, seconds = _timed(lambda: vector_fit(freqs, samples, num_poles=model.num_poles))
     _check(fit.rms_error < 1e-6, f"fit rms error {fit.rms_error:.2e} >= 1e-6")
     return StageResult(
         seconds=seconds,
@@ -399,7 +397,9 @@ def _drain(workers: int, jobs: int, order: int) -> float:
             started = time.perf_counter()
             for runner in runners:
                 runner.start()
-            while queue.depth()["done"] < jobs:
+            # Wait for every job to end in any state, so that a failed
+            # job fails the check below instead of hanging the drain.
+            while sum(queue.depth()[s] for s in TERMINAL_STATES) < jobs:
                 time.sleep(0.005)
             elapsed = time.perf_counter() - started
             for worker in fleet:
