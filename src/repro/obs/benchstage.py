@@ -557,7 +557,9 @@ def _sampling_ablation(scale: float, threads: int) -> StageResult:
     )
     rows = []
     for seed, exact, seeded, blind in results:
-        _check(not exact.passive, f"seed {seed}: the Hamiltonian test found none")
+        _check(
+            not exact.passive, f"seed {seed}: the Hamiltonian test found no violation"
+        )
         rows.append(
             {
                 "seed": seed,
@@ -580,9 +582,10 @@ def _comb_scaling(scale: float, threads: int) -> StageResult:
     serial bisection sweep: the crossings grow with the comb, and the
     operator applies per crossing grow by less than 10x."""
     base = max(4, int(80 * scale))
+    resonances = (base, 2 * base, 4 * base)
     models = [
         transmission_line_model(n, 4, seed=n, sigma_target=1.12, delay=n / 4.0)
-        for n in (base, 2 * base, 4 * base)
+        for n in resonances
     ]
     config = RunConfig(strategy="bisection", options=SolverOptions())
     results, seconds = _timed(lambda: [solve(m, config) for m in models])
@@ -597,7 +600,7 @@ def _comb_scaling(scale: float, threads: int) -> StageResult:
                 result.work["operator_applies"] / max(result.num_crossings, 1)
             ),
         }
-        for n, model, result in zip((base, 2 * base, 4 * base), models, results)
+        for n, model, result in zip(resonances, models, results)
     ]
     first, last = rows[0], rows[-1]
     _check(
