@@ -7,9 +7,10 @@ any stage slowed down by more than the threshold (default 25%).  Stages
 faster than the noise floor (default 50 ms) in *both* runs are reported
 but never fail the gate — interpreter jitter dominates below that.
 
-The gate is **tier-aware** (schema ``repro-bench-pipeline/2``; payloads
-without a ``tier`` field — including every schema/1 baseline — are
-treated as the ``serial`` tier):
+The gate is **tier-aware**.  ``run.py`` writes schema
+``repro-bench-pipeline/3``; the tracked baseline is still schema/2, and
+the gate reads both alike.  Payloads without a ``tier`` field —
+including every schema/1 baseline — are treated as the ``serial`` tier:
 
 * Timing diffs only run between payloads of the *same* tier.  A
   multicore run is never timed against the serial baseline (or vice
@@ -104,7 +105,7 @@ def payload_tier(payload: dict) -> str:
 
 
 def payload_cpu_count(payload: dict) -> Optional[int]:
-    """Core count stamped by ``run.py`` (schema/2), or None."""
+    """Core count stamped by ``run.py`` (schema/2 and later), or None."""
     value = payload.get("cpu_count")
     if value is None:
         return None
@@ -183,10 +184,10 @@ def floor_skip_reason(
 def _timings(payload: dict) -> Dict[str, float]:
     """Extract the named wall-clock timings compared by the gate.
 
-    Covers the dense-sweep micro-benchmark (batched path only — the
-    looped reference exists for the speedup story, not the gate) and
-    every pipeline stage, including the batch-fleet stage added by
-    ``run.py --batch-models``.
+    Covers every stage record, plus the dense-sweep micro-benchmark's
+    batched timing under ``payload["sweep"]``.  ``run.py`` no longer
+    writes that key, so the branch serves only older baselines such as
+    the tracked schema/2 one.
     """
     timings: Dict[str, float] = {}
     sweep = payload.get("sweep")

@@ -131,11 +131,15 @@ class ShiftInvertOperator:
 
         w = self._k_inv.apply(x)
         # v = V w  (port projections)
-        v = np.concatenate([simo.apply_c(w[:n]), simo.apply_bt(w[n:])])
+        v = np.empty((2 * p,) + x.shape[1:], dtype=complex)
+        v[:p] = simo.apply_c(w[:n])
+        v[p:] = simo.apply_bt(w[n:])
         # t = Z (I + VKU Z)^-1 v
         t = self._zcore_inv @ v
         # u = U t
-        u = np.concatenate([simo.apply_b(t[:p]), simo.apply_ct(t[p:])])
+        u = np.empty((2 * n,) + x.shape[1:], dtype=complex)
+        u[:n] = simo.apply_b(t[:p])
+        u[n:] = simo.apply_ct(t[p:])
         result = w - self._k_inv.apply(u)
 
         if self.hamiltonian.work is not None:

@@ -241,6 +241,14 @@ class SimoRealization:
         self.b = b
         self.c = c
         self.col_of_state = col_of_state
+        # Constants of the per-apply kernels, built once: the complex C
+        # that a complex ``C @ x`` would otherwise cast on every call, and
+        # the segment starts of ``B^T x`` (None when a column is empty,
+        # which only segment_sum handles).
+        self._c_complex = c.astype(complex)
+        self._bt_starts = (
+            self.col_starts[:-1] if n and np.all(self.column_orders > 0) else None
+        )
         # Complex-cast direct term, computed once: transfer evaluations are
         # hot-path kernels and must not pay an astype per call.
         self._d_complex = d.astype(complex)
@@ -429,13 +437,15 @@ class SimoRealization:
     def apply_bt(self, x: np.ndarray) -> np.ndarray:
         """Compute ``B^T x`` for ``x`` of shape ``(n,)`` or ``(n, k)`` — O(n)."""
         x = np.asarray(x)
-        if x.ndim == 1:
-            return segment_sum(self.b * x, self.col_starts)
-        return segment_sum(self.b[:, None] * x, self.col_starts)
+        bx = self.b * x if x.ndim == 1 else self.b[:, None] * x
+        if self._bt_starts is None:
+            return segment_sum(bx, self.col_starts)
+        return np.add.reduceat(bx, self._bt_starts, axis=0)
 
     def apply_c(self, x: np.ndarray) -> np.ndarray:
         """Compute ``C x`` — O(n p)."""
-        return self.c @ np.asarray(x)
+        x = np.asarray(x)
+        return (self._c_complex if np.iscomplexobj(x) else self.c) @ x
 
     def apply_ct(self, y: np.ndarray) -> np.ndarray:
         """Compute ``C^T y`` — O(n p)."""

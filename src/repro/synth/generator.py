@@ -143,9 +143,30 @@ def scale_to_sigma_target(
     """Find a residue scale ``s`` with ``max sigma(D + s (H_k - D)) ~ target``.
 
     ``responses`` are grid samples of the unscaled model; scaling residues
-    by ``s`` turns each sample into ``D + s (H_k - D)``.  The peak singular
-    value is monotone non-decreasing in ``s`` over the relevant range, so
-    a log-bisection converges quickly.
+    by ``s`` turns each sample into ``D + s Delta_k`` with
+    ``Delta_k = H_k - D``.  The peak singular value is monotone
+    non-decreasing in ``s`` over the relevant range, so a log-bisection
+    converges quickly.
+
+    Each step of the bisection only asks whether ``peak(s) >= target``,
+    and Weyl's inequality
+    ``|sigma_max(D + s Delta_k) - s sigma_max(Delta_k)| <= sigma_max(D)``
+    settles most of those questions without an SVD.  The norms
+    ``sigma_max(Delta_k)`` are computed once, ``M`` being their maximum, so
+    ``peak(s)`` lies in ``[s M - sigma(D), s M + sigma(D)]``:
+
+    * when both bounds lie on one side of the target, they decide the step;
+    * otherwise only the samples whose upper bound
+      ``s sigma_max(Delta_k) + sigma(D)`` reaches the lower bound
+      ``s M - sigma(D)`` go through the SVD.  Every other sample is smaller
+      than the one attaining ``M`` and cannot hold the maximum.
+
+    Every bound carries a slack of ``1e-9 (s M + sigma(D))``, far above the
+    rounding of a computed singular value, so no rounding can flip a
+    decision or exclude the maximum.  The kept samples are the same
+    matrices going through the same LAPACK call, so every decision, and
+    hence the returned scale, is bit-identical to an SVD of every sample
+    at every step.
 
     Returns
     -------
@@ -160,21 +181,31 @@ def scale_to_sigma_target(
         raise ValueError(
             f"sigma target ({target}) must exceed sigma(D) ({d_norm:.3f})"
         )
+    norms = np.linalg.svd(deltas, compute_uv=False).max(axis=-1, initial=0.0)
+    top = float(norms.max(initial=0.0))
 
-    def peak(s: float) -> float:
-        return peak_singular_value(d[None] + s * deltas)
+    def reaches(s: float) -> bool:
+        """Whether ``peak_singular_value(d + s * deltas) >= target``."""
+        slack = 1e-9 * (s * top + d_norm)
+        lower = s * top - d_norm - slack
+        if lower >= target:
+            return True
+        if s * top + d_norm + slack < target:
+            return False
+        kept = s * norms + d_norm + slack >= lower
+        return peak_singular_value(d[None] + s * deltas[kept]) >= target
 
     lo, hi = 1e-6, 1.0
     # Expand the bracket until peak(hi) >= target.
     for _ in range(60):
-        if peak(hi) >= target:
+        if reaches(hi):
             break
         hi *= 2.0
     else:
         raise RuntimeError("could not bracket the sigma target")
     for _ in range(iterations):
         mid = np.sqrt(lo * hi)
-        if peak(mid) >= target:
+        if reaches(mid):
             hi = mid
         else:
             lo = mid

@@ -206,14 +206,18 @@ class Tridiagonal:
         if bands.ndim != 2 or bands.shape[0] != 3:
             raise ValueError(f"bands must have shape (3, N), got {bands.shape}")
         self.bands = bands
+        # (diag, upper[:-1], lower[1:]) sliced once, for vectors and for
+        # blocks: apply runs once per Arnoldi step.
+        self._vector_bands = (bands[1], bands[2, :-1], bands[0, 1:])
+        self._block_bands = tuple(band[:, None] for band in self._vector_bands)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Compute ``T x`` for ``x`` of shape ``(N,)`` or ``(N, k)``."""
         x = np.asarray(x)
-        lower, diag, upper = self.bands if x.ndim == 1 else self.bands[:, :, None]
+        diag, upper, lower = self._vector_bands if x.ndim == 1 else self._block_bands
         out = diag * x
-        out[:-1] += upper[:-1] * x[1:]
-        out[1:] += lower[1:] * x[:-1]
+        out[:-1] += upper * x[1:]
+        out[1:] += lower * x[:-1]
         return out
 
 

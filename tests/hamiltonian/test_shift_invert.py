@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.hamiltonian.operator import HamiltonianOperator
 from repro.hamiltonian.shift_invert import ShiftInvertOperator
 from repro.macromodel.realization import pole_residue_to_simo
+from repro.macromodel.simo import SimoRealization, segment_sum
+from repro.synth.generator import random_simo_macromodel
 from repro.utils.timing import WorkCounter
 from tests.conftest import make_pole_residue
 
@@ -101,6 +103,56 @@ class TestApply:
 
     def test_repr(self, op):
         assert "ShiftInvertOperator" in repr(op.shift_invert(1j))
+
+
+def _reference_banded(bands, x):
+    """``Tridiagonal.apply`` with its bands sliced on every call."""
+    lower, diag, upper = bands if x.ndim == 1 else bands[:, :, None]
+    out = diag * x
+    out[:-1] += upper[:-1] * x[1:]
+    out[1:] += lower[1:] * x[:-1]
+    return out
+
+
+def _reference_matvec(si, x):
+    """The SMW apply with C cast, B^T segmented and v, u concatenated per call."""
+    simo = si.hamiltonian.simo
+    n, p = simo.order, simo.num_ports
+    bands = si._k_inv.bands
+    w = _reference_banded(bands, x)
+    bx = simo.b * w[n:] if x.ndim == 1 else simo.b[:, None] * w[n:]
+    v = np.concatenate([simo.c @ w[:n], segment_sum(bx, simo.col_starts)])
+    t = si._zcore_inv @ v
+    u = np.concatenate([simo.apply_b(t[:p]), simo.c.T @ t[p:]])
+    return w - _reference_banded(bands, u)
+
+
+@pytest.mark.parametrize(
+    "order,ports,representation",
+    [
+        (None, None, "scattering"),
+        (60, 4, "scattering"),
+        (150, 20, "scattering"),
+        (150, 20, "immittance"),
+    ],
+)
+def test_apply_bit_identical_to_reference(
+    small_simo, rng, order, ports, representation
+):
+    """Hoisting the per-apply constants changes no bit of the result."""
+    if order is None:
+        simo = small_simo
+    else:
+        simo = random_simo_macromodel(order, ports, seed=order, sigma_target=None)
+        if representation == "immittance":
+            simo = SimoRealization(simo.columns, simo.d + 2.0 * np.eye(ports))
+    op = HamiltonianOperator(simo, representation=representation)
+    dim = op.dimension
+    for shift in (0.0j, 0.5j, 3.1j, 0.2 + 5.0j):
+        si = op.shift_invert(shift)
+        for shape in ((dim,), (dim, 3)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.array_equal(si.matvec(x), _reference_matvec(si, x))
 
 
 @settings(max_examples=15, deadline=None)

@@ -5,12 +5,16 @@ import pytest
 
 from repro.macromodel.poles import conjugate_pairs_complete, is_stable
 from repro.passivity.metrics import peak_singular_value_on_grid
+from repro.synth import generator, transmission_line
 from repro.synth.generator import (
+    _scaling_grid,
+    peak_singular_value,
     random_macromodel,
     random_pole_set,
     random_simo_macromodel,
     scale_to_sigma_target,
 )
+from repro.synth.transmission_line import transmission_line_model
 
 
 class TestRandomPoleSet:
@@ -114,3 +118,123 @@ class TestScaleToSigmaTarget:
     def test_target_below_d_rejected(self):
         with pytest.raises(ValueError, match="exceed"):
             scale_to_sigma_target(0.5 * np.eye(2), np.zeros((3, 2, 2)), 0.3)
+
+
+def _exhaustive_scale(d, responses, target, *, iterations=40):
+    """The calibration without pruning: an SVD of every sample at every step."""
+    d = np.asarray(d, dtype=float)
+    deltas = np.asarray(responses) - d[None]
+    d_norm = float(np.linalg.norm(d, 2)) if d.size else 0.0
+    if target <= d_norm:
+        raise ValueError(
+            f"sigma target ({target}) must exceed sigma(D) ({d_norm:.3f})"
+        )
+
+    def peak(s):
+        return peak_singular_value(d[None] + s * deltas)
+
+    lo, hi = 1e-6, 1.0
+    for _ in range(60):
+        if peak(hi) >= target:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError("could not bracket the sigma target")
+    for _ in range(iterations):
+        mid = np.sqrt(lo * hi)
+        if peak(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return float(np.sqrt(lo * hi))
+
+
+class TestWeylPrunedCalibration:
+    """The Weyl-pruned bisection returns the exhaustive scale, bit for bit."""
+
+    @pytest.fixture
+    def calibrations(self, monkeypatch):
+        """Record ``(pruned, exhaustive)`` for every calibration a builder runs."""
+        seen = []
+
+        def both(d, responses, target, **kwargs):
+            s = scale_to_sigma_target(d, responses, target, **kwargs)
+            seen.append((s, _exhaustive_scale(d, responses, target, **kwargs)))
+            return s
+
+        monkeypatch.setattr(generator, "scale_to_sigma_target", both)
+        monkeypatch.setattr(transmission_line, "scale_to_sigma_target", both)
+        return seen
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_builders_match_exhaustive(self, calibrations, seed):
+        for target in (0.9, 1.1):
+            random_macromodel(8, 2, seed=seed, sigma_target=target)
+        for target in (0.95, 1.3):
+            random_macromodel(12, 4, seed=seed, sigma_target=target)
+        random_simo_macromodel(40, 4, seed=seed, sigma_target=1.06)
+        random_simo_macromodel(
+            60, 20, seed=100 + seed, sigma_target=1.02, grid_points=60
+        )
+        transmission_line_model(12, 4, seed=seed)
+        assert len(calibrations) == 7
+        for pruned, exhaustive in calibrations:
+            assert pruned == exhaustive
+
+    @pytest.mark.parametrize(
+        "ports,resonances,target", [(56, 3, 1.05), (56, 3, 0.97), (83, 1, 1.12)]
+    )
+    def test_many_ports_match_exhaustive(self, ports, resonances, target):
+        """Table I's p = 56 and 83 on short grids around a few resonances."""
+        simo = random_simo_macromodel(2 * ports, ports, seed=ports, sigma_target=None)
+        poles = simo.poles()
+        grid = _scaling_grid(poles[poles.imag > 0][:resonances], (0.5, 10.0), 8)
+        responses = simo.frequency_response(grid)
+        pruned = scale_to_sigma_target(simo.d, responses, target)
+        assert pruned == _exhaustive_scale(simo.d, responses, target)
+
+    def test_peak_held_by_a_smaller_delta(self):
+        """The peak sample need not have the largest ``sigma_max(Delta_k)``.
+
+        ``D`` adds to the first sample's ``Delta`` and subtracts from the
+        larger second one, so near the answer the first sample holds the
+        peak although ``s sigma_max(Delta_0)`` lies below ``s M - sigma(D)``
+        and only the ``+ sigma(D)`` of its upper bound keeps it.
+        """
+        d = np.diag([0.1, 0.0])
+        responses = d[None] + np.array([np.diag([1.0, 0.0]), np.diag([-1.15, 0.0])])
+        s = scale_to_sigma_target(d, responses, 1.08)
+        assert s == _exhaustive_scale(d, responses, 1.08)
+        assert s == pytest.approx(0.98, rel=1e-9)
+
+    def test_prunes_most_sample_svds(self, monkeypatch):
+        simo = random_simo_macromodel(150, 20, seed=101, sigma_target=None)
+        grid = _scaling_grid(simo.poles(), (0.5, 10.0), 300)
+        responses = simo.frequency_response(grid)
+        samples = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            samples.append(np.shape(a)[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        scale_to_sigma_target(simo.d, responses, 1.02)
+        # One norm pass plus a few kept samples per step; the exhaustive
+        # search takes about 43 passes over every sample.
+        assert sum(samples) < 2 * len(responses)
+
+    @pytest.mark.parametrize("calibrate", [scale_to_sigma_target, _exhaustive_scale])
+    def test_target_at_or_below_d_rejected(self, calibrate):
+        for target in (0.3, 0.5):
+            with pytest.raises(ValueError, match="exceed"):
+                calibrate(0.5 * np.eye(2), np.zeros((3, 2, 2)), target)
+
+    @pytest.mark.parametrize("calibrate", [scale_to_sigma_target, _exhaustive_scale])
+    @pytest.mark.parametrize("samples", [0, 3])
+    def test_unreachable_target_fails_to_bracket(self, calibrate, samples):
+        """An empty grid, or samples all equal to D, never reach the target."""
+        d = 0.1 * np.eye(2)
+        responses = np.broadcast_to(d, (samples, 2, 2))
+        with pytest.raises(RuntimeError, match="bracket"):
+            calibrate(d, responses, 1.05)
