@@ -26,7 +26,6 @@ consumers.  All cross-cutting knobs come from a single frozen
 
 from __future__ import annotations
 
-import time
 import warnings
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -42,7 +41,6 @@ from repro.macromodel.rational import PoleResidueModel
 from repro.macromodel.simo import SimoRealization
 from repro.obs import trace as _obs_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.metrics import get_registry as _obs_process_registry
 from repro.passivity.characterization import PassivityReport, characterize_passivity
 from repro.passivity.enforcement import EnforcementResult, enforce_passivity
 from repro.passivity.hinf import HinfResult, hinf_norm
@@ -128,7 +126,6 @@ class Macromodel:
         self._exports: list = []
         self._result_store: Optional[ResultStore] = None
         self._result_store_dir: Optional[str] = None
-        self._cache_counters = {"hits": 0, "misses": 0, "writes": 0}
         self._metrics = MetricsRegistry()
 
     # -- constructors -------------------------------------------------------
@@ -286,7 +283,10 @@ class Macromodel:
         counters are how tests (and ``FleetReport``) verify that a
         repeated characterization never re-ran the eigensweep.
         """
-        return dict(self._cache_counters)
+        return {
+            name: self._metrics.counter_value(f"cache.{name}")
+            for name in ("hits", "misses", "writes")
+        }
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -295,8 +295,8 @@ class Macromodel:
         Every pipeline stage records its wall time into a
         ``stage.<name>`` histogram here (and mirrors it into the
         process registry, :func:`repro.obs.get_registry`), and the
-        cache counters are mirrored as ``cache.hits`` /
-        ``cache.misses`` / ``cache.writes``.  Read it with
+        cache counters that :attr:`cache_stats` reads are ``cache.hits``
+        / ``cache.misses`` / ``cache.writes``.  Read it with
         ``session.metrics.snapshot()``; the same snapshot rides along
         on :class:`~repro.batch.runner.JobResult.metrics` for fleet
         jobs.
@@ -307,14 +307,8 @@ class Macromodel:
         """Run one stage's compute, recording its latency both locally
         (this session's registry) and process-wide, plus a
         ``stage.<name>`` trace span when a trace context is active."""
-        started = time.perf_counter()
-        try:
-            with _obs_trace.span(f"stage.{stage}"):
-                return compute()
-        finally:
-            elapsed = time.perf_counter() - started
-            self._metrics.observe(f"stage.{stage}", elapsed)
-            _obs_process_registry().observe(f"stage.{stage}", elapsed)
+        with _obs_trace.timed(f"stage.{stage}", registry=self._metrics):
+            return compute()
 
     def _store_for(self, config: RunConfig) -> Optional[ResultStore]:
         if config.cache == "off":
@@ -387,16 +381,13 @@ class Macromodel:
                 # Semantically unusable payload: fall through to a miss.
                 result = None
             if result is not None:
-                self._cache_counters["hits"] += 1
                 self._metrics.count("cache.hits")
                 return result
-        self._cache_counters["misses"] += 1
         self._metrics.count("cache.misses")
         result = self._timed_stage(stage, compute)
         if config.cache == "readwrite" and store.put(
             key, encode_result(stage, result), stage=stage
         ):
-            self._cache_counters["writes"] += 1
             self._metrics.count("cache.writes")
         return result
 
@@ -895,8 +886,9 @@ class Macromodel:
             payload["solve"] = self._solve.to_dict(include_shifts=False)
         if self._simulation is not None:
             payload["simulation"] = self._simulation.to_dict()
-        if any(self._cache_counters.values()):
-            payload["cache"] = self.cache_stats
+        cache = self.cache_stats
+        if any(cache.values()):
+            payload["cache"] = cache
         return to_jsonable(payload)
 
     def __repr__(self) -> str:

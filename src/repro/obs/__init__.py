@@ -5,10 +5,10 @@ passivity verification — so this package is the layer that turns
 "should be faster" into a measurement.  Four pieces:
 
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry`
-  of counters, gauges, timers, and fixed-bucket latency histograms
-  with p50/p90/p99 summaries.  Stdlib-only, thread-safe, and zero
-  overhead when unread: instrumented code records a float under a
-  lock; nothing is aggregated until someone asks.
+  of counters and fixed-bucket latency histograms with p50/p90/p99
+  summaries.  Stdlib-only, thread-safe, and zero overhead when unread:
+  instrumented code records a float under a lock; nothing is
+  aggregated until someone asks.
 * :mod:`repro.obs.profiler` — a thin :mod:`cProfile` harness emitting
   top-N hot-function reports as plain JSON-serializable dicts
   (``repro bench --profile``, ``repro profile <subcommand...>``).
@@ -19,6 +19,8 @@ passivity verification — so this package is the layer that turns
   cross-process context propagation: the per-job causal timeline behind
   ``GET /v1/jobs/<id>/trace`` and ``repro trace <job-id>``.
 
+:func:`timed` is the one timing primitive: it opens the span of a block
+and observes the block's seconds into the histogram of the same name.
 Every subsystem that does interesting work records into the process
 registry (:func:`get_registry`): the eigensweep scheduler, vector
 fitting, enforcement iterations, store reads/writes, queue claim/ack,
@@ -39,6 +41,7 @@ from repro.obs.trace import (
     build_tree,
     ensure_trace_id,
     render_waterfall,
+    timed,
 )
 
 __all__ = [
@@ -54,4 +57,5 @@ __all__ = [
     "profile_to_dict",
     "render_waterfall",
     "reset_registry",
+    "timed",
 ]

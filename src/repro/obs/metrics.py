@@ -1,4 +1,4 @@
-"""Process-local metrics: counters, gauges, timers, latency histograms.
+"""Process-local metrics: counters and latency histograms.
 
 Design constraints, in order:
 
@@ -16,14 +16,17 @@ default, spanning 100 µs to ~100 s for latencies).  Quantiles are
 estimated by linear interpolation inside the owning bucket — the same
 scheme Prometheus' ``histogram_quantile`` uses — which keeps the
 memory footprint constant regardless of observation count.
+
+A timed block goes through :func:`repro.obs.trace.timed`, which opens
+the span and observes its elapsed seconds into the histogram of the
+same name.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
@@ -111,24 +114,6 @@ class Histogram:
         with self._lock:
             return self._sum
 
-    def merge(self, other: "Histogram") -> None:
-        """Accumulate another histogram's state (edges must match)."""
-        if other._edges != self._edges:
-            raise ValueError("cannot merge histograms with different buckets")
-        with other._lock:
-            counts = list(other._counts)
-            count, total = other._count, other._sum
-            lo, hi = other._min, other._max
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self._count += count
-            self._sum += total
-            if lo is not None and (self._min is None or lo < self._min):
-                self._min = lo
-            if hi is not None and (self._max is None or hi > self._max):
-                self._max = hi
-
     def quantile(self, q: float) -> Optional[float]:
         """Estimate the q-quantile (0 < q <= 1) by bucket interpolation.
 
@@ -195,23 +180,22 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """A named collection of counters, gauges, timers, and histograms.
+    """A named collection of counters and latency histograms.
 
     One registry per process (:func:`get_registry`) carries service and
     worker traffic; :class:`~repro.api.session.Macromodel` additionally
     owns a private registry so per-session stage timings survive into
     :class:`~repro.batch.runner.JobResult` without cross-job bleed.
 
-    Metric names are dotted lowercase (``store.get``, ``queue.claim``);
-    timers and histograms share the histogram machinery — a timer is a
-    histogram observed in seconds plus a convenience context manager.
+    Metric names are dotted lowercase (``store.get``, ``queue.claim``).
+    :func:`repro.obs.trace.timed` times a block into the histogram of
+    its name; :meth:`observe` records a value measured elsewhere.
     """
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS):
         self._buckets = tuple(float(b) for b in buckets)
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
-        self._gauges: Dict[str, float] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- recording ----------------------------------------------------------
@@ -220,11 +204,6 @@ class MetricsRegistry:
         """Increment a monotonically increasing counter."""
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + int(value)
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set a point-in-time gauge (last write wins)."""
-        with self._lock:
-            self._gauges[name] = float(value)
 
     def histogram(self, name: str) -> Histogram:
         """Get (or lazily create) the named histogram."""
@@ -238,59 +217,19 @@ class MetricsRegistry:
         """Record one observation into the named histogram."""
         self.histogram(name).observe(value)
 
-    def timer(self, name: str) -> "_Timer":
-        """Context manager timing a block into histogram ``name``.
-
-        >>> registry = MetricsRegistry()
-        >>> with registry.timer("stage.fit"):
-        ...     pass
-        >>> registry.histogram("stage.fit").count
-        1
-        """
-        return _Timer(self, name)
-
     # -- reading ------------------------------------------------------------
 
     def counter_value(self, name: str) -> int:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Accumulate another registry (counters add, gauges last-wins,
-        histograms merge bucket-wise)."""
-        with other._lock:
-            counters = dict(other._counters)
-            gauges = dict(other._gauges)
-            histograms = dict(other._histograms)
-        with self._lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            self._gauges.update(gauges)
-        for name, hist in histograms.items():
-            self.histogram(name).merge(hist)
-
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Accumulate a ``snapshot()``-shaped dict (counters and timer
-        count/sum only — bucket detail does not survive serialization,
-        so merged quantiles are not recomputed).
-
-        This is how :class:`~repro.batch.runner.FleetReport` aggregates
-        per-job metrics that crossed a process boundary as JSON.
-        """
-        for name, value in (snapshot.get("counters") or {}).items():
-            self.count(name, int(value))
-        for name, value in (snapshot.get("gauges") or {}).items():
-            self.gauge(name, value)
-
     def snapshot(self) -> dict:
-        """Plain-dict view: counters, gauges, histogram summaries."""
+        """Plain-dict view: counters and histogram summaries."""
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
         return {
             "counters": counters,
-            "gauges": gauges,
             "timings": {
                 name: hist.summary() for name, hist in sorted(histograms.items())
             },
@@ -300,11 +239,9 @@ class MetricsRegistry:
         """Snapshot with full bucket detail on every histogram."""
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
         return {
             "counters": counters,
-            "gauges": gauges,
             "timings": {
                 name: hist.to_dict() for name, hist in sorted(histograms.items())
             },
@@ -318,7 +255,6 @@ class MetricsRegistry:
         """
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
         lines: List[str] = []
 
@@ -332,10 +268,6 @@ class MetricsRegistry:
             metric = _name(name) + "_total"
             lines.append(f"# TYPE {metric} counter")
             lines.append(f"{metric} {counters[name]}")
-        for name in sorted(gauges):
-            metric = _name(name)
-            lines.append(f"# TYPE {metric} gauge")
-            lines.append(f"{metric} {gauges[name]}")
         for name in sorted(histograms):
             metric = _name(name) + "_seconds"
             doc = histograms[name].to_dict()
@@ -354,35 +286,7 @@ class MetricsRegistry:
         """Drop every metric (tests and bench isolation)."""
         with self._lock:
             self._counters.clear()
-            self._gauges.clear()
             self._histograms.clear()
-
-    def __iter__(self) -> Iterator[str]:
-        with self._lock:
-            names = sorted(
-                set(self._counters) | set(self._gauges) | set(self._histograms)
-            )
-        return iter(names)
-
-
-class _Timer:
-    """Context manager recording a block's wall time into a histogram."""
-
-    __slots__ = ("_registry", "_name", "_started")
-
-    def __init__(self, registry: MetricsRegistry, name: str):
-        self._registry = registry
-        self._name = name
-        self._started = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._started = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._registry.observe(
-            self._name, time.perf_counter() - self._started
-        )
 
 
 # -- the process registry ---------------------------------------------------

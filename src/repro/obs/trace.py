@@ -45,6 +45,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.obs.metrics import MetricsRegistry, get_registry
+
 __all__ = [
     "ENV_TRACE",
     "ENV_TRACE_RING",
@@ -65,6 +67,7 @@ __all__ = [
     "ring_from_env",
     "span",
     "synthetic_span",
+    "timed",
     "tracing_enabled",
 ]
 
@@ -284,18 +287,19 @@ def current() -> Optional[Span]:
     return state.current_span if state is not None else None
 
 
+def _parent_id(state: _ActiveTrace) -> str:
+    """The innermost open span's ID, else the context's parent."""
+    handle = state.current_span
+    return handle.span_id if handle is not None else state.parent_id
+
+
 def current_ids() -> Tuple[Optional[str], Optional[str], Optional[str]]:
     """``(trace_id, span_id, job_id)`` of the active context — the
     correlation fields stamped onto every log record."""
     state = _STATE.get()
     if state is None:
         return (None, None, None)
-    span_id = (
-        state.current_span.span_id
-        if state.current_span is not None
-        else state.parent_id
-    )
-    return (state.trace_id, span_id, state.job_id)
+    return (state.trace_id, _parent_id(state), state.job_id)
 
 
 @contextmanager
@@ -340,15 +344,10 @@ def span(name: str, *, start: Optional[float] = None, **attributes: Any):
     if state is None:
         yield _NULL_SPAN
         return
-    parent = (
-        state.current_span.span_id
-        if state.current_span is not None
-        else state.parent_id
-    )
     handle = Span(
         trace_id=state.trace_id,
         span_id=new_span_id(),
-        parent_id=parent,
+        parent_id=_parent_id(state),
         name=name,
         start=start,
         attributes=attributes or None,
@@ -365,6 +364,28 @@ def span(name: str, *, start: Optional[float] = None, **attributes: Any):
     finally:
         state.current_span = previous
         state.sink.append(handle.to_dict())
+
+
+@contextmanager
+def timed(
+    name: str, *, registry: Optional[MetricsRegistry] = None, **attributes: Any
+):
+    """Open span ``name`` and time the block into histogram ``name``.
+
+    The span is recorded only inside an active trace, as with
+    :func:`span`.  The elapsed seconds are observed into the process
+    registry, and into ``registry`` when one is passed, whether the
+    block returns or raises.
+    """
+    started = time.perf_counter()
+    try:
+        with span(name, **attributes) as handle:
+            yield handle
+    finally:
+        elapsed = time.perf_counter() - started
+        get_registry().observe(name, elapsed)
+        if registry is not None:
+            registry.observe(name, elapsed)
 
 
 def record_span(
@@ -384,22 +405,17 @@ def record_span(
     state = _STATE.get()
     if state is None:
         return
-    parent = (
-        state.current_span.span_id
-        if state.current_span is not None
-        else state.parent_id
-    )
     state.sink.append(
-        {
-            "trace_id": state.trace_id,
-            "span_id": new_span_id(),
-            "parent_id": parent,
-            "name": name,
-            "start": float(start),
-            "duration": max(0.0, float(duration)),
-            "status": status,
-            "attributes": dict(attributes) if attributes else {},
-        }
+        synthetic_span(
+            trace_id=state.trace_id,
+            span_id=new_span_id(),
+            parent_id=_parent_id(state),
+            name=name,
+            start=start,
+            duration=duration,
+            status=status,
+            attributes=attributes,
+        )
     )
 
 
@@ -481,14 +497,15 @@ def render_waterfall(
     t1 = max(s["start"] + s["duration"] for s in spans)
     window = max(t1 - t0, 1e-9)
     wall = max((r["duration"] for r in roots), default=window) or window
+    walked = list(_walk_depth(roots))
     name_width = min(
-        44, max(len(n["name"]) + 2 * _depth_of(n, roots) for n in _walk(roots))
+        44, max(len(node["name"]) + 2 * depth for node, depth in walked)
     )
     lines = [
         f"trace {spans[0]['trace_id']} · {len(spans)} spans ·"
         f" {window:.3f}s wall"
     ]
-    for node, depth in _walk_depth(roots):
+    for node, depth in walked:
         offset = int(round((node["start"] - t0) / window * width))
         length = int(round(node["duration"] / window * width))
         offset = min(offset, width - 1)
@@ -503,23 +520,9 @@ def render_waterfall(
     return "\n".join(lines)
 
 
-def _walk(roots: List[Dict[str, Any]]) -> Iterator[Dict[str, Any]]:
-    for node, _ in _walk_depth(roots):
-        yield node
-
-
 def _walk_depth(
     roots: List[Dict[str, Any]], depth: int = 0
 ) -> Iterator[Tuple[Dict[str, Any], int]]:
     for node in roots:
         yield node, depth
         yield from _walk_depth(node["children"], depth + 1)
-
-
-def _depth_of(
-    node: Dict[str, Any], roots: List[Dict[str, Any]]
-) -> int:
-    for candidate, depth in _walk_depth(roots):
-        if candidate is node:
-            return depth
-    return 0

@@ -10,6 +10,7 @@ largest crossing) is always passive thanks to ``sigma(D) < 1`` (eq. 4).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -328,8 +329,11 @@ def characterize_passivity(
         )
     simo = _as_simo(model)
     _obs_metrics().count("eigensweep.runs")
-    with _obs_metrics().timer("eigensweep.solve"):
+    started = time.perf_counter()
+    try:
         result = solve(simo, config)
+    finally:
+        _obs_metrics().observe("eigensweep.solve", time.perf_counter() - started)
     margin = 1.0 - float(np.linalg.norm(simo.d, 2)) if simo.d.size else 1.0
     bands = violation_bands_from_crossings(
         simo,

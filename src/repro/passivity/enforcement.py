@@ -316,57 +316,55 @@ def enforce_passivity(
     reports: List[PassivityReport] = []
 
     enforce_started = time.perf_counter()
-    iterations = 0
-    for iterations in range(max_iterations + 1):
-        _obs_metrics().count("enforcement.iterations")
-        # One trace span per enforcement step (re-characterization plus
-        # the perturbation solve) — the per-iteration cost visibility
-        # feeding the incremental-recertification roadmap item.
-        with _obs_trace.span(
-            "enforce.iteration", iteration=iterations
-        ) as it_span:
-            if iterations == 0 and initial_report is not None:
-                report = initial_report
-            else:
-                report = characterize_passivity(current, config=config)
-            reports.append(report)
-            history.append(report.worst_violation)
-            it_span.annotate(
-                "worst_violation", float(report.worst_violation)
-            )
-            if report.passive:
-                it_span.annotate("passive", True)
-                _obs_metrics().observe(
-                    "enforcement.run", time.perf_counter() - enforce_started
+    try:
+        iterations = 0
+        for iterations in range(max_iterations + 1):
+            _obs_metrics().count("enforcement.iterations")
+            # One trace span per enforcement step (re-characterization plus
+            # the perturbation solve) — the per-iteration cost visibility
+            # feeding the incremental-recertification roadmap item.
+            with _obs_trace.span(
+                "enforce.iteration", iteration=iterations
+            ) as it_span:
+                if iterations == 0 and initial_report is not None:
+                    report = initial_report
+                else:
+                    report = characterize_passivity(current, config=config)
+                reports.append(report)
+                history.append(report.worst_violation)
+                it_span.annotate(
+                    "worst_violation", float(report.worst_violation)
                 )
-                return EnforcementResult(
-                    model=current,
-                    passive=True,
-                    iterations=iterations,
-                    history=tuple(history),
-                    perturbation_norm=total_norm,
-                    reports=tuple(reports),
+                if report.passive:
+                    it_span.annotate("passive", True)
+                    return EnforcementResult(
+                        model=current,
+                        passive=True,
+                        iterations=iterations,
+                        history=tuple(history),
+                        perturbation_norm=total_norm,
+                        reports=tuple(reports),
+                    )
+                if iterations == max_iterations:
+                    break
+                g, b = _peak_constraints(current, report, margin)
+                if g.size == 0:
+                    break
+                # Minimum-norm solution of the underdetermined system G x = b.
+                x, *_ = np.linalg.lstsq(g, b, rcond=None)
+                current, step_norm = _apply_parameters(current, x)
+                total_norm += step_norm
+                _LOG.debug(
+                    "enforcement step %d: %d band(s), worst %.3e, step norm %.3e",
+                    iterations + 1,
+                    len(report.bands),
+                    report.worst_violation,
+                    step_norm,
                 )
-            if iterations == max_iterations:
-                break
-            g, b = _peak_constraints(current, report, margin)
-            if g.size == 0:
-                break
-            # Minimum-norm solution of the underdetermined system G x = b.
-            x, *_ = np.linalg.lstsq(g, b, rcond=None)
-            current, step_norm = _apply_parameters(current, x)
-            total_norm += step_norm
-            _LOG.debug(
-                "enforcement step %d: %d band(s), worst %.3e, step norm %.3e",
-                iterations + 1,
-                len(report.bands),
-                report.worst_violation,
-                step_norm,
-            )
-
-    _obs_metrics().observe(
-        "enforcement.run", time.perf_counter() - enforce_started
-    )
+    finally:
+        _obs_metrics().observe(
+            "enforcement.run", time.perf_counter() - enforce_started
+        )
     return EnforcementResult(
         model=current,
         passive=False,

@@ -202,7 +202,7 @@ class QueueWorker:
                         generation, self.queue_config.poll_seconds
                     )
                     continue
-                with _obs_metrics().timer("worker.job"):
+                with _trace.timed("worker.job"):
                     self._execute_traced(
                         row,
                         claim_wall=claim_wall,

@@ -206,13 +206,10 @@ class ResultStore:
         are bad — and recorded against :meth:`health`.  A hit refreshes
         the entry's LRU timestamp.
         """
-        started = time.perf_counter()
-        with _obs_trace.span("store.get", key=key[:16]) as span:
+        with _obs_trace.timed("store.get", key=key[:16]) as span:
             payload = self._get_inner(key)
             span.annotate("hit", payload is not None)
-        registry = _obs_metrics()
-        registry.observe("store.get", time.perf_counter() - started)
-        registry.count(
+        _obs_metrics().count(
             "store.get.hits" if payload is not None else "store.get.misses"
         )
         return payload
@@ -300,13 +297,10 @@ class ResultStore:
         accelerator, and a computation must not die because its result
         could not be memoized.
         """
-        started = time.perf_counter()
-        with _obs_trace.span("store.put", key=key[:16], stage=stage) as span:
+        with _obs_trace.timed("store.put", key=key[:16], stage=stage) as span:
             ok = self._put_inner(key, payload, stage=stage)
             span.annotate("ok", ok)
-        registry = _obs_metrics()
-        registry.observe("store.put", time.perf_counter() - started)
-        registry.count("store.put.writes" if ok else "store.put.errors")
+        _obs_metrics().count("store.put.writes" if ok else "store.put.errors")
         return ok
 
     def _put_inner(self, key: str, payload: dict, *, stage: str) -> bool:

@@ -60,16 +60,6 @@ class WorkCounter:
                     raise AttributeError(f"unknown work counter field: {key}")
                 setattr(self, key, getattr(self, key) + int(value))
 
-    def merge(self, other: "WorkCounter") -> None:
-        """Atomically accumulate the counts of another counter into this one."""
-        with self._lock:
-            self.operator_applies += other.operator_applies
-            self.arnoldi_steps += other.arnoldi_steps
-            self.restarts += other.restarts
-            self.shifts_processed += other.shifts_processed
-            self.shifts_eliminated += other.shifts_eliminated
-            self.small_solves += other.small_solves
-
     def snapshot(self) -> Dict[str, int]:
         """Return a plain-dict copy of the counts."""
         with self._lock:
@@ -81,9 +71,3 @@ class WorkCounter:
                 "shifts_eliminated": self.shifts_eliminated,
                 "small_solves": self.small_solves,
             }
-
-    @property
-    def total_work(self) -> int:
-        """Scalar work metric: operator applies dominate the runtime."""
-        with self._lock:
-            return self.operator_applies + 4 * self.small_solves

@@ -56,6 +56,14 @@ class TestSerialBackend:
             assert result.source["kind"] == "synth"
         json.dumps(report.to_dict())
 
+    def test_fleet_metrics_sum_the_job_snapshots(self):
+        report = BatchRunner(backend="serial").run(
+            synth_fleet(2, order_per_column=6, base_seed=50)
+        )
+        for result in report.results:
+            assert result.metrics["timings"]["stage.check"]["count"] == 1
+        assert report.metrics()["timings"]["stage.check"]["count"] == 2
+
     def test_error_capture_does_not_sink_fleet(self, small_fleet):
         sources = [TouchstoneJob(name="missing", path="no-such.s2p")]
         sources += list(small_fleet)

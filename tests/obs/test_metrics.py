@@ -12,6 +12,7 @@ from repro.obs.metrics import (
     get_registry,
     reset_registry,
 )
+from repro.obs.trace import TraceContext, activate, new_trace_id, timed
 
 
 class TestHistogramBucketing:
@@ -50,25 +51,6 @@ class TestHistogramBucketing:
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(ValueError):
             Histogram(buckets=(1.0, 0.5))
-
-    def test_merge_adds_counts_and_extremes(self):
-        a = Histogram(buckets=(1.0, 2.0))
-        b = Histogram(buckets=(1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        b.observe(9.0)
-        a.merge(b)
-        doc = a.to_dict()
-        assert doc["count"] == 3
-        assert doc["min"] == pytest.approx(0.5)
-        assert doc["max"] == pytest.approx(9.0)
-        assert [b["count"] for b in doc["buckets"]] == [1, 2, 3]
-
-    def test_merge_rejects_mismatched_edges(self):
-        a = Histogram(buckets=(1.0,))
-        b = Histogram(buckets=(2.0,))
-        with pytest.raises(ValueError):
-            a.merge(b)
 
 
 class TestHistogramQuantiles:
@@ -119,32 +101,38 @@ class TestHistogramQuantiles:
 
 
 class TestMetricsRegistry:
-    def test_counters_and_gauges(self):
+    def test_counters(self):
         reg = MetricsRegistry()
         reg.count("jobs")
         reg.count("jobs", 4)
-        reg.gauge("depth", 7.0)
-        snap = reg.snapshot()
-        assert snap["counters"]["jobs"] == 5
-        assert snap["gauges"]["depth"] == 7.0
+        assert reg.snapshot()["counters"]["jobs"] == 5
 
     def test_timer_records_into_named_histogram(self):
-        reg = MetricsRegistry()
-        with reg.timer("stage.check"):
+        # ``timed`` is the one timer: it feeds histogram ``name`` of the
+        # process registry, and of ``registry`` only when one is passed.
+        process = get_registry().histogram("stage.check")
+        before = process.count
+        private = MetricsRegistry()
+        with timed("stage.check", registry=private) as handle:
             pass
-        summary = reg.snapshot()["timings"]["stage.check"]
-        assert summary["count"] == 1
+        assert handle.context is None  # no trace, so no span
+        root = TraceContext(trace_id=new_trace_id(), span_id="root")
+        with activate(root) as spans:
+            with timed("stage.check", registry=private, task="check"):
+                pass
+            with pytest.raises(ValueError):
+                with timed("stage.check"):
+                    raise ValueError("boom")
+        assert [(s["name"], s["status"]) for s in spans] == [
+            ("stage.check", "ok"),
+            ("stage.check", "error"),
+        ]
+        assert spans[0]["attributes"] == {"task": "check"}
+        # The raising block is observed too.
+        assert process.count - before == 3
+        summary = private.snapshot()["timings"]["stage.check"]
+        assert summary["count"] == 2
         assert summary["p50"] is not None
-
-    def test_merge_snapshot_folds_counters(self):
-        reg = MetricsRegistry()
-        reg.count("a", 2)
-        other = MetricsRegistry()
-        other.count("a", 3)
-        other.gauge("g", 1.0)
-        reg.merge_snapshot(other.snapshot())
-        assert reg.counter_value("a") == 5
-        assert reg.snapshot()["gauges"]["g"] == 1.0
 
     def test_snapshot_is_json_serializable(self):
         reg = MetricsRegistry()

@@ -4,10 +4,12 @@ import json
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import pytest
 
 from repro.core.config import RunConfig
+from repro.obs import reset_registry
 from repro.service import ReproServer
 
 
@@ -140,3 +142,121 @@ class TestMetricsEndpoint:
     def test_metrics_endpoint_does_not_500_when_idle(self, server):
         status, _, body = _get(server, "/v1/metrics")
         assert status == 200
+
+
+class TestEmittedSeries:
+    """Pin the spans each job emits and the series ``/v1/metrics`` shows.
+
+    The embedded worker runs on the ``serial`` backend, so the series
+    recorded inside a job (``stage.*``, ``eigensweep.*``, ...) land in
+    the process registry next to the HTTP, queue, store and worker ones.
+    """
+
+    CHECK = {"kind": "synth", "order": 8, "ports": 2, "seed": 3, "task": "check"}
+    ENFORCE = {
+        "kind": "synth",
+        "order": 8,
+        "ports": 2,
+        "seed": 4,
+        "sigma_target": 1.05,
+        "task": "enforce",
+    }
+    CHECK_SPANS = {
+        "job": 1,
+        "queue.wait": 1,
+        "worker.attempt": 1,
+        "queue.claim": 1,
+        "batch.pipeline": 1,
+        "stage.check": 1,
+        "solve.sweep": 1,
+        "queue.ack": 1,
+        "store.get": 2,
+        "store.put": 2,
+    }
+    ENFORCE_SPANS = dict(
+        CHECK_SPANS,
+        **{
+            "stage.enforce": 1,
+            "enforce.iteration": 2,
+            "solve.sweep": 2,
+            "store.get": 3,
+            "store.put": 3,
+        },
+    )
+    COUNTERS = (
+        "eigensweep.runs",
+        "enforcement.iterations",
+        "http.requests.jobs.get",
+        "http.requests.jobs.submit",
+        "http.requests.jobs.trace",
+        "queue.jobs_acked",
+        "queue.jobs_claimed",
+        "store.get.hits",
+        "store.get.misses",
+        "store.put.writes",
+        "worker.jobs.done",
+    )
+    HISTOGRAMS = (
+        "eigensweep.solve",
+        "enforcement.run",
+        "http.jobs.get",
+        "http.jobs.submit",
+        "http.jobs.trace",
+        "queue.ack",
+        "queue.claim",
+        "queue.enqueue",
+        "stage.check",
+        "stage.enforce",
+        "store.get",
+        "store.put",
+        "worker.job",
+    )
+
+    @staticmethod
+    def _spans_of(server, job_id):
+        # A poll can see ``done`` a moment before the worker persists
+        # the attempt's spans, which land in one write with the root.
+        deadline = time.time() + 30.0
+        while True:
+            status, payload = _get_json(server, f"/v1/jobs/{job_id}/trace")
+            assert status == 200
+            names = [s["name"] for s in payload["spans"]]
+            if "job" in names or time.time() > deadline:
+                return Counter(names)
+            time.sleep(0.02)
+
+    def test_span_multisets_and_metric_series(self, tmp_path):
+        reset_registry()
+        config = RunConfig(cache="readwrite", cache_dir=str(tmp_path / "store"))
+        server = ReproServer.create(
+            port=0, config=config, workers=1, backend="serial", timeout=300.0
+        )
+        server.start_background()
+        try:
+            traces = []
+            for spec in (self.CHECK, self.ENFORCE, self.CHECK):
+                record = _post(server, spec)
+                assert _wait(server, record["id"])["status"] == "done"
+                traces.append(self._spans_of(server, record["id"]))
+            status, _, body = _get(server, "/v1/metrics")
+        finally:
+            server.stop()
+        assert traces == [
+            Counter(self.CHECK_SPANS),
+            Counter(self.ENFORCE_SPANS),
+            Counter({"job": 1, "store.get": 1}),
+        ]
+        assert status == 200
+        series = {
+            line.split(" ")[0].split("{")[0]
+            for line in body.decode("utf-8").splitlines()
+            if not line.startswith("#")
+        }
+        expected = {
+            f"repro_{name.replace('.', '_')}_total" for name in self.COUNTERS
+        } | {
+            f"repro_{name.replace('.', '_')}_seconds_{part}"
+            for name in self.HISTOGRAMS
+            for part in ("bucket", "sum", "count")
+        }
+        assert series == expected

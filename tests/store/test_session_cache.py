@@ -182,6 +182,18 @@ class TestOtherStages:
         plain = Macromodel.from_pole_residue(model).check_passivity()
         assert "cache" not in plain.to_dict()
 
+    def test_session_metrics_record_stage_and_cache_traffic(self, tmp_path, model):
+        session = Macromodel.from_pole_residue(model, config=_rw(tmp_path))
+        session.check_passivity().check_passivity()
+        snapshot = session.metrics.snapshot()
+        # The hit skipped the stage, so only the miss was timed.
+        assert snapshot["timings"]["stage.check"]["count"] == 1
+        assert snapshot["counters"] == {
+            "cache.misses": 1,
+            "cache.writes": 1,
+            "cache.hits": 1,
+        }
+
 
 class TestCorruptEntryFallback:
     def test_corrupt_cache_entry_recomputes(self, tmp_path, model):

@@ -29,15 +29,6 @@ class TestWorkCounter:
         with pytest.raises(AttributeError):
             wc.add(_lock=1)
 
-    def test_merge(self):
-        a = WorkCounter()
-        b = WorkCounter()
-        a.add(operator_applies=3)
-        b.add(operator_applies=4, shifts_processed=1)
-        a.merge(b)
-        assert a.operator_applies == 7
-        assert a.shifts_processed == 1
-
     def test_snapshot_is_plain_dict(self):
         wc = WorkCounter()
         wc.add(small_solves=2)
@@ -51,11 +42,6 @@ class TestWorkCounter:
             "shifts_eliminated",
             "small_solves",
         }
-
-    def test_total_work_weights_small_solves(self):
-        wc = WorkCounter()
-        wc.add(operator_applies=10, small_solves=2)
-        assert wc.total_work == 10 + 4 * 2
 
     def test_thread_safety_under_contention(self):
         wc = WorkCounter()
