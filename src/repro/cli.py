@@ -171,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
             " ~/.cache/repro)",
         )
 
-    def add_queue_args(p):
+    def add_queue_path_args(p):
         p.add_argument(
             "--queue",
             default=None,
@@ -179,6 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="queue database file (default: REPRO_QUEUE_PATH or"
             " queue.sqlite3 next to the result store)",
         )
+        p.add_argument(
+            "--cache-dir",
+            default=None,
+            action=_TrackedStore,
+            help="result-store directory, which the default queue path"
+            " resolves against (default: REPRO_CACHE_DIR or ~/.cache/repro)",
+        )
+
+    def add_queue_knob_args(p):
         p.add_argument(
             "--lease",
             type=float,
@@ -473,14 +482,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-store mode (default: readwrite — the service exists"
         " to absorb repeated traffic)",
     )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        action=_TrackedStore,
-        help="result-store directory (default: REPRO_CACHE_DIR or"
-        " ~/.cache/repro)",
-    )
-    add_queue_args(serve)
+    add_queue_path_args(serve)
+    add_queue_knob_args(serve)
     serve.add_argument(
         "--rate",
         type=float,
@@ -507,14 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
         "worker",
         help="drain the service's durable job queue (run N for a fleet)",
     )
-    add_queue_args(worker)
-    worker.add_argument(
-        "--cache-dir",
-        default=None,
-        action=_TrackedStore,
-        help="result-store directory the default queue path resolves"
-        " against (default: REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
+    add_queue_path_args(worker)
+    add_queue_knob_args(worker)
     worker.add_argument(
         "--backend",
         default="process",
@@ -550,14 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     jobs_sub = jobs.add_subparsers(dest="jobs_command", required=True)
 
     def add_jobs_common(p):
-        add_queue_args(p)
-        p.add_argument(
-            "--cache-dir",
-            default=None,
-            action=_TrackedStore,
-            help="result-store directory the default queue path resolves"
-            " against (default: REPRO_CACHE_DIR or ~/.cache/repro)",
-        )
+        add_queue_path_args(p)
         p.add_argument(
             "--json",
             action="store_true",
@@ -602,15 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="render one job's distributed trace as an ASCII waterfall",
     )
-    add_queue_args(trace)
+    add_queue_path_args(trace)
     trace.add_argument("id", help="job id")
-    trace.add_argument(
-        "--cache-dir",
-        default=None,
-        action=_TrackedStore,
-        help="result-store directory the default queue path resolves"
-        " against (default: REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
     trace.add_argument(
         "--json",
         action="store_true",
@@ -1181,17 +1164,21 @@ def _cmd_worker(args) -> int:
     return 0
 
 
-def _cmd_jobs(args) -> int:
+def _open_queue(args):
+    """The existing queue database a read or admin subcommand opens."""
     from repro.queue import JobQueue
 
-    queue_config = _queue_config(args)
-    queue_path = queue_config.resolve_path(args.cache_dir)
+    queue_path = _queue_config(args).resolve_path(args.cache_dir)
     if not queue_path.is_file():
         raise ValueError(
             f"no queue database at {queue_path} (start 'repro serve' or"
             " point --queue/REPRO_QUEUE_PATH at one)"
         )
-    queue = JobQueue(queue_path, max_attempts=queue_config.max_attempts)
+    return JobQueue(queue_path)
+
+
+def _cmd_jobs(args) -> int:
+    queue = _open_queue(args)
     try:
         if args.jobs_command == "list":
             rows = queue.list(
@@ -1269,56 +1256,35 @@ def _cmd_jobs(args) -> int:
 def _cmd_trace(args) -> int:
     """``repro trace <job-id>`` — the job's span tree as a waterfall.
 
-    Reads the durable trace ring out of the queue database, so it works
-    on live *and* finished jobs, from any process that can see the
-    queue file — no running service required.
+    Reads the job's trace out of the queue database, so it works from
+    any process that can see the queue file — no running service
+    required.
     """
-    from repro.obs.trace import build_tree, render_waterfall
-    from repro.queue import JobQueue
+    from repro.obs.trace import render_waterfall
 
-    queue_config = _queue_config(args)
-    queue_path = queue_config.resolve_path(args.cache_dir)
-    if not queue_path.is_file():
-        raise ValueError(
-            f"no queue database at {queue_path} (start 'repro serve' or"
-            " point --queue/REPRO_QUEUE_PATH at one)"
-        )
-    queue = JobQueue(queue_path, max_attempts=queue_config.max_attempts)
+    queue = _open_queue(args)
     try:
-        row = queue.get(args.id)
-        if row is None:
-            raise ValueError(f"unknown job id {args.id!r}")
-        # Job-scoped (a trace id may be shared across submissions);
-        # JobQueue.trace_spans(trace_id=...) serves cross-job queries.
-        spans = queue.trace_spans(job_id=args.id)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "job_id": row.id,
-                        "trace_id": row.trace_id,
-                        "status": row.state,
-                        "span_count": len(spans),
-                        "spans": spans,
-                        "tree": build_tree(spans),
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-            return 0
-        if not spans:
-            print(
-                f"no spans recorded for job {args.id} (state: {row.state};"
-                " traces appear as attempts finish, and REPRO_TRACE=off"
-                " disables them)"
-            )
-            return 0
-        print(f"job {row.id}  trace {row.trace_id}  state {row.state}")
-        print(render_waterfall(spans, width=args.width))
-        return 0
+        document = queue.trace(args.id)
     finally:
         queue.close()
+    if document is None:
+        raise ValueError(f"unknown job id {args.id!r}")
+    if args.json:
+        print(json.dumps(document, indent=2, sort_keys=True))
+        return 0
+    if not document["spans"]:
+        print(
+            f"no spans recorded for job {args.id} (state:"
+            f" {document['status']}; a job's trace is written when it"
+            " finishes, and REPRO_TRACE=off disables it)"
+        )
+        return 0
+    print(
+        f"job {args.id}  trace {document['trace_id']}"
+        f"  state {document['status']}"
+    )
+    print(render_waterfall(document["spans"], width=args.width))
+    return 0
 
 
 def _cmd_faults(args) -> int:

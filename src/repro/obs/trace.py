@@ -28,10 +28,11 @@ Environment (strict ``REPRO_*`` parsing; malformed values raise
 
 ``REPRO_TRACE``
     Master switch, ``on`` (default) or ``off``.  When off,
-    :func:`activate` installs nothing and every span is a no-op.
-``REPRO_TRACE_RING``
-    Completed traces retained in the queue database's bounded ring
-    (default 256, minimum 1).
+    :func:`activate` installs nothing and every span is a no-op, and
+    the queue writes no job trace.
+
+A job's trace is kept as long as its queue row: ``repro jobs purge``
+deletes both.
 """
 
 from __future__ import annotations
@@ -49,9 +50,7 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 
 __all__ = [
     "ENV_TRACE",
-    "ENV_TRACE_RING",
     "TRACE_ENV_VARS",
-    "DEFAULT_TRACE_RING",
     "Span",
     "TraceContext",
     "activate",
@@ -64,7 +63,6 @@ __all__ = [
     "record_fault",
     "record_span",
     "render_waterfall",
-    "ring_from_env",
     "span",
     "synthetic_span",
     "timed",
@@ -72,13 +70,10 @@ __all__ = [
 ]
 
 ENV_TRACE = "REPRO_TRACE"
-ENV_TRACE_RING = "REPRO_TRACE_RING"
 
 #: Every ``REPRO_TRACE_*`` variable the tracer reads — the docs
 #: anti-drift test walks this tuple.
-TRACE_ENV_VARS = (ENV_TRACE, ENV_TRACE_RING)
-
-DEFAULT_TRACE_RING = 256
+TRACE_ENV_VARS = (ENV_TRACE,)
 
 #: Inbound ``X-Repro-Trace-Id`` values must look like an ID, not a log
 #: injection vector: hex/alnum plus dashes, 8–64 chars.
@@ -107,24 +102,6 @@ def tracing_enabled() -> bool:
     raise _config_error(
         f"invalid {ENV_TRACE}={raw!r}: expected on/off"
     )
-
-
-def ring_from_env() -> int:
-    """``REPRO_TRACE_RING`` — traces retained durably; strict parse."""
-    raw = os.environ.get(ENV_TRACE_RING)
-    if raw is None:
-        return DEFAULT_TRACE_RING
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise _config_error(
-            f"invalid {ENV_TRACE_RING}={raw!r}: {exc}"
-        ) from None
-    if value < 1:
-        raise _config_error(
-            f"invalid {ENV_TRACE_RING}={raw!r}: must be >= 1"
-        )
-    return value
 
 
 def new_trace_id() -> str:

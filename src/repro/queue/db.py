@@ -25,13 +25,16 @@ Design
   primitive behind ``GET /v1/jobs/<id>/events``.  Waiters do not sleep
   on a timer: every :class:`JobQueue` open on one file in one process
   shares a change notifier, bumped after each committed enqueue of a
-  ``queued`` row, claim, release, retry and lease reclaim, and by the
-  worker once a finished attempt's trace is persisted.  A long-poll or
-  an idle worker waits on it and wakes the moment another thread of the
-  process writes.  Writes from other processes (external ``repro
-  worker`` fleets) and leases that merely expire notify nobody, so each
-  wait is bounded by the poll interval, after which the waiter re-reads
-  the database exactly as a plain poll would.
+  ``queued`` row, claim, ack, release, retry and lease reclaim.  A
+  long-poll or an idle worker waits on it and wakes the moment another
+  thread of the process writes.  Writes from other processes (external
+  ``repro worker`` fleets) and leases that merely expire notify nobody,
+  so each wait is bounded by the poll interval, after which the waiter
+  re-reads the database exactly as a plain poll would.
+* **Traces commit with their job**: an ack, and the enqueue of a
+  ``cached`` row, insert the job's spans in the transaction that writes
+  its final state, so whoever reads ``done`` can read the whole trace.
+  A trace lives exactly as long as its row: ``purge`` deletes both.
 
 States: ``queued`` → ``running`` → one of the terminal states ``done``
 (pipeline completed), ``error`` (pipeline raised), ``timeout`` (per-job
@@ -48,6 +51,7 @@ import sqlite3
 import threading
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -55,7 +59,12 @@ from typing import Any, Dict, List, Optional, Union
 from repro.faults import init_from_env as _faults_init_from_env
 from repro.faults import inject as _inject
 from repro.obs.metrics import get_registry as _obs_metrics
-from repro.obs.trace import ring_from_env as _trace_ring_from_env
+from repro.obs.trace import (
+    build_tree,
+    new_span_id,
+    new_trace_id,
+    synthetic_span,
+)
 from repro.utils.logging import get_logger
 from repro.utils.retry import RetryPolicy, retry_call
 
@@ -150,6 +159,47 @@ WHERE id = (
 ) AND state = 'queued'
 RETURNING *
 """
+
+_INSERT_SPAN = """
+INSERT OR REPLACE INTO traces
+    (trace_id, span_id, parent_id, job_id, name, start, duration, status,
+     attributes)
+VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)
+"""
+
+
+def _span_row(span: dict, job_id: Optional[str]) -> tuple:
+    parent = span.get("parent_id")
+    return (
+        str(span["trace_id"]),
+        str(span["span_id"]),
+        None if parent is None else str(parent),
+        job_id,
+        str(span["name"]),
+        float(span["start"]),
+        float(span["duration"]),
+        str(span.get("status", "ok")),
+        json.dumps(span.get("attributes") or {}, sort_keys=True),
+    )
+
+
+def _encode_spans(spans: List[dict], job_id: Optional[str]) -> List[tuple]:
+    """The table rows of ``spans``, encoded before any transaction opens.
+
+    A span that cannot be encoded is dropped with a warning: tracing
+    must never fail a job.
+    """
+    rows = []
+    for span in spans:
+        try:
+            rows.append(_span_row(span, job_id))
+        except (KeyError, TypeError, ValueError) as exc:
+            _LOG.warning(
+                "dropping a span of job %s that cannot be stored: %r",
+                job_id,
+                exc,
+            )
+    return rows
 
 
 @dataclass(frozen=True)
@@ -346,7 +396,6 @@ class JobQueue:
         }
         if "trace_id" not in columns:
             self._conn.execute("ALTER TABLE jobs ADD COLUMN trace_id TEXT")
-        self._trace_ring = _trace_ring_from_env()
         self._returning = sqlite3.sqlite_version_info >= (3, 35, 0)
         self._notifier = _notifier_for(self.path)
 
@@ -366,6 +415,21 @@ class JobQueue:
     def _count_retry(self, attempt: int, exc: BaseException) -> None:
         self.counters["retries"] += 1
         self.counters["busy_errors"] += 1
+
+    @contextmanager
+    def _transaction(self):
+        """One ``BEGIN IMMEDIATE`` transaction; the caller holds the lock.
+
+        Commits when the block ends, rolls back when it raises.
+        """
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+            self._conn.execute("COMMIT")
+        except BaseException:
+            if self._conn.in_transaction:
+                self._conn.execute("ROLLBACK")
+            raise
 
     def _retrying(self, point: str, fn):
         """Run one write operation under the shared backoff policy.
@@ -422,6 +486,7 @@ class JobQueue:
         max_attempts: Optional[int] = None,
         cached_result: Optional[dict] = None,
         trace_id: Optional[str] = None,
+        spans: Optional[List[dict]] = None,
     ) -> JobRow:
         """Insert one job; returns the stored row.
 
@@ -430,12 +495,20 @@ class JobQueue:
         submission time and no worker ever needs to run).  ``trace_id``
         is the distributed-tracing correlation ID the service stamped at
         submission; workers restore it as their root context.
+
+        ``spans`` are the spans a cached row recorded so far (``None``:
+        tracing is off).  They are committed with the row, under the
+        ``job`` root this adds.  A queued row takes none: its ack writes
+        its trace.
         """
-        now = time.time()
         cached = cached_result is not None
+        if spans is not None and not cached:
+            raise ValueError("only a cached row is enqueued with spans")
+        rows = None if spans is None else _encode_spans(spans, job_id)
 
         def _insert() -> None:
-            with self._lock:
+            now = time.time()
+            with self._lock, self._transaction():
                 self._conn.execute(
                     """
                     INSERT INTO jobs (id, task, name, kind, spec, key, state,
@@ -464,6 +537,8 @@ class JobQueue:
                         trace_id,
                     ),
                 )
+                if rows is not None:
+                    self._write_trace(job_id, rows)
 
         self._retrying("queue.enqueue", _insert)
         if not cached:
@@ -547,14 +622,12 @@ class JobQueue:
                     return _decode(row) if row is not None else None
                 # Pre-3.35 SQLite: the same guarded flip inside one
                 # immediate (write-locked) transaction.
-                try:
-                    self._conn.execute("BEGIN IMMEDIATE")
+                with self._transaction():
                     picked = self._conn.execute(
                         "SELECT id FROM jobs WHERE state = 'queued'"
                         " ORDER BY submitted, id LIMIT 1"
                     ).fetchone()
                     if picked is None:
-                        self._conn.execute("COMMIT")
                         return None
                     self._conn.execute(
                         """
@@ -567,13 +640,6 @@ class JobQueue:
                         """,
                         dict(params, id=picked["id"]),
                     )
-                    self._conn.execute("COMMIT")
-                except sqlite3.Error:
-                    try:
-                        self._conn.execute("ROLLBACK")
-                    except sqlite3.Error:
-                        pass
-                    raise
             return self.get(picked["id"])
 
         row = self._retrying("queue.claim", _claim)
@@ -633,24 +699,32 @@ class JobQueue:
         result: Optional[dict] = None,
         error: Optional[str] = None,
         cached: bool = False,
+        spans: Optional[List[dict]] = None,
     ) -> bool:
-        """Record a terminal outcome — guarded by ownership.
+        """Record a terminal outcome and its trace — guarded by ownership.
 
         Returns ``False`` when this worker no longer owned the job (its
         lease expired and the job was requeued or re-acked elsewhere);
         the caller must discard its result, preserving exactly-once
-        completion.  The ack wakes no waiter: the worker calls
-        :meth:`notify_change` once the attempt's trace is persisted, so
-        a client woken at a terminal state reads a complete trace.
+        completion, and nothing is written.
+
+        ``spans`` are the attempt's finished spans (``None``: tracing is
+        off).  They are committed in the transaction that writes the
+        terminal state, with the ``job`` root, ``queue.wait`` and this
+        ack's own ``queue.ack`` span, so a client that reads the
+        terminal state reads the whole trace.  The ack then wakes this
+        process's waiters.
         """
         if state not in TERMINAL_STATES:
             raise ValueError(
                 f"ack state must be one of {TERMINAL_STATES}, got {state!r}"
             )
+        ack_start = time.time()
+        rows = None if spans is None else _encode_spans(spans, job_id)
 
         def _ack() -> bool:
             now = time.time()
-            with self._lock:
+            with self._lock, self._transaction():
                 owned = self._conn.execute(
                     """
                     UPDATE jobs
@@ -671,10 +745,13 @@ class JobQueue:
                         worker_id,
                     ),
                 ).rowcount
+                if owned and rows is not None:
+                    self._write_trace(job_id, rows, ack_start=ack_start)
             return bool(owned)
 
         acked = self._retrying("queue.ack", _ack)
         if acked:
+            self._notifier.bump()
             _obs_metrics().count("queue.jobs_acked")
         return acked
 
@@ -718,10 +795,10 @@ class JobQueue:
         return bool(touched)
 
     def purge(self, state: str) -> int:
-        """Delete every row in one terminal state; returns the count.
+        """Delete every row in one terminal state, with its trace.
 
-        Only terminal states may be purged — queued and running rows are
-        live work.
+        Returns the count.  Only terminal states may be purged — queued
+        and running rows are live work.
         """
         if state not in TERMINAL_STATES:
             raise ValueError(
@@ -743,53 +820,87 @@ class JobQueue:
     def record_spans(
         self, spans: List[dict], *, job_id: Optional[str] = None
     ) -> int:
-        """Durably persist finished spans; returns the count stored.
+        """Persist finished spans as they are; returns the count stored.
 
-        The traces table is a bounded ring: after every write, only the
-        newest ``REPRO_TRACE_RING`` distinct trace IDs are retained, so
-        a long-lived queue file never grows without bound.  Span IDs are
-        upsert keys — a retried attempt re-recording its synthesized
-        ``job``/``queue.wait`` spans overwrites rather than duplicates.
+        Span IDs are upsert keys: a span written again replaces its row.
+        This adds no root and wakes nobody; :meth:`ack` and the enqueue
+        of a cached row write a job's whole trace with its state.
         """
-        rows = [
-            (
-                str(span["trace_id"]),
-                str(span["span_id"]),
-                span.get("parent_id"),
-                job_id,
-                str(span["name"]),
-                float(span["start"]),
-                float(span["duration"]),
-                str(span.get("status", "ok")),
-                json.dumps(span.get("attributes") or {}, sort_keys=True),
-            )
-            for span in spans
-        ]
-        if not rows:
-            return 0
+        rows = _encode_spans(spans, job_id)
         with self._lock:
-            self._conn.executemany(
-                """
-                INSERT OR REPLACE INTO traces
-                    (trace_id, span_id, parent_id, job_id, name, start,
-                     duration, status, attributes)
-                VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)
-                """,
-                rows,
-            )
-            self._conn.execute(
-                """
-                DELETE FROM traces WHERE trace_id IN (
-                    SELECT trace_id FROM (
-                        SELECT trace_id, MAX(rowid) AS latest FROM traces
-                        GROUP BY trace_id ORDER BY latest DESC
-                        LIMIT -1 OFFSET ?
-                    )
-                )
-                """,
-                (self._trace_ring,),
-            )
+            self._conn.executemany(_INSERT_SPAN, rows)
         return len(rows)
+
+    def _write_trace(
+        self,
+        job_id: str,
+        rows: List[tuple],
+        *,
+        ack_start: Optional[float] = None,
+    ) -> None:
+        """Insert a finished job's span rows under its ``job`` root.
+
+        Runs in the transaction that wrote the row's final state, and
+        reads the row back.  The root runs from submission (or from its
+        earliest span, such as a lookup made before the insert) to this
+        write, the last moment before the commit.  After an ack
+        (``ack_start`` given), ``queue.wait`` (submission to first
+        claim) and ``queue.ack`` (``ack_start`` to this write) hang off
+        the root too.
+        """
+        job = self._conn.execute(
+            "SELECT task, state, cached, attempts, submitted, started,"
+            " trace_id FROM jobs WHERE id = ?",
+            (job_id,),
+        ).fetchone()
+        now = time.time()
+        # Row fields follow _INSERT_SPAN: 0 is the trace ID, 5 the start.
+        trace_id = job["trace_id"] or (
+            rows[0][0] if rows else new_trace_id()
+        )
+        start = min([job["submitted"], *(row[5] for row in rows)])
+        spans = [
+            synthetic_span(
+                trace_id=trace_id,
+                span_id=job_id,
+                parent_id=None,
+                name="job",
+                start=start,
+                duration=now - start,
+                status="ok" if job["state"] == "done" else "error",
+                attributes={
+                    "job_id": job_id,
+                    "task": job["task"],
+                    "state": job["state"],
+                    "cached": bool(job["cached"]),
+                    "attempts": job["attempts"],
+                },
+            )
+        ]
+        if ack_start is not None:
+            submitted = job["submitted"]
+            spans += [
+                synthetic_span(
+                    trace_id=trace_id,
+                    span_id=f"{job_id}-wait",
+                    parent_id=job_id,
+                    name="queue.wait",
+                    start=submitted,
+                    duration=(job["started"] or now) - submitted,
+                ),
+                synthetic_span(
+                    trace_id=trace_id,
+                    span_id=new_span_id(),
+                    parent_id=job_id,
+                    name="queue.ack",
+                    start=ack_start,
+                    duration=now - ack_start,
+                    attributes={"state": job["state"]},
+                ),
+            ]
+        self._conn.executemany(
+            _INSERT_SPAN, rows + [_span_row(span, job_id) for span in spans]
+        )
 
     def trace_spans(
         self,
@@ -842,6 +953,28 @@ class JobQueue:
                 }
             )
         return spans
+
+    def trace(self, job_id: str) -> Optional[dict]:
+        """One job's trace document; ``None`` for an unknown job.
+
+        What ``GET /v1/jobs/<id>/trace`` and ``repro trace --json``
+        serve.  Scoped to the job, not the trace ID: a client may reuse
+        one ``X-Repro-Trace-Id`` across submissions, and this promises
+        a single tree for *this* job.  A job that has not finished (or
+        ran with tracing off) yields an empty tree.
+        """
+        row = self.get(job_id)
+        if row is None:
+            return None
+        spans = self.trace_spans(job_id=job_id)
+        return {
+            "job_id": row.id,
+            "trace_id": row.trace_id,
+            "status": row.state,
+            "span_count": len(spans),
+            "spans": spans,
+            "tree": build_tree(spans),
+        }
 
     # -- inspection ---------------------------------------------------------
 

@@ -122,11 +122,6 @@ class QueueWorker:
         # One store per distinct cache directory: jobs may override
         # cache_dir per submission, but same-dir jobs share the handle.
         self._stores: Dict[Optional[str], ResultStore] = {}
-        # Tracing state of the job currently executing (one job at a
-        # time per instance): the sink finished spans accumulate in and
-        # the attempt span's context (None while tracing is off).
-        self._trace_sink = None
-        self._attempt_context: Optional[_trace.TraceContext] = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -229,65 +224,44 @@ class QueueWorker:
     def _execute_traced(
         self, row: JobRow, *, claim_wall: float, claim_elapsed: float
     ) -> None:
-        """Run one claimed job under an attempt-scoped trace root.
+        """Run one claimed job under an attempt-scoped trace, then ack it.
 
         The job row's ``trace_id`` (stamped at submission) is restored
         as the root context; every attempt — including a retry after a
         crashed worker — opens its own ``worker.attempt`` span under the
         shared trace, so the per-job timeline survives failures.  The
         attempt span is backdated to the claim so the measured
-        ``queue.claim`` child nests inside it.  Finished spans are
-        persisted best-effort after the attempt: tracing must never
-        fail a job.
+        ``queue.claim`` child nests inside it.  Once it closes, one
+        :meth:`~repro.queue.JobQueue.ack` commits the outcome with the
+        attempt's spans, so a job reads ``done`` only with its whole
+        trace; an attempt that lost its lease writes neither.
         """
-        trace_id = row.trace_id or _trace.new_trace_id()
         context = _trace.TraceContext(
-            trace_id=trace_id, span_id=row.id, job_id=row.id
+            trace_id=row.trace_id or _trace.new_trace_id(),
+            span_id=row.id,
+            job_id=row.id,
         )
-        sink: list = []
-        self._trace_sink = sink
-        try:
-            with _trace.activate(context, sink):
-                with _trace.span(
-                    "worker.attempt",
-                    start=claim_wall,
-                    worker=self.worker_id,
-                    attempt=row.attempts,
-                ) as attempt:
-                    self._attempt_context = (
-                        _trace.TraceContext(
-                            trace_id=trace_id,
-                            span_id=attempt.context.span_id,
-                            job_id=row.id,
-                        )
-                        if attempt.context is not None
-                        else None
-                    )
-                    _trace.record_span(
-                        "queue.claim",
-                        start=claim_wall,
-                        duration=claim_elapsed,
-                    )
-                    self._execute(row)
-        finally:
-            self._attempt_context = None
-            self._trace_sink = None
-            if sink:
-                try:
-                    self.queue.record_spans(sink, job_id=row.id)
-                except sqlite3.Error as exc:
-                    _LOG.warning(
-                        "worker %s: could not persist trace for job %s"
-                        " (%s)",
-                        self.worker_id,
-                        row.id,
-                        exc,
-                    )
-            # The ack's terminal wake-up comes only now, so that a
-            # long-poller woken at ``done`` finds the whole trace.
-            self.queue.notify_change()
+        with _trace.activate(context) as sink:
+            with _trace.span(
+                "worker.attempt",
+                start=claim_wall,
+                worker=self.worker_id,
+                attempt=row.attempts,
+            ):
+                _trace.record_span(
+                    "queue.claim", start=claim_wall, duration=claim_elapsed
+                )
+                outcome = self._execute(row, sink)
+            if outcome is not None:
+                spans = sink if _trace.tracing_enabled() else None
+                self._finish(row, spans=spans, **outcome)
 
-    def _execute(self, row: JobRow) -> None:
+    def _execute(self, row: JobRow, sink: list) -> Optional[dict]:
+        """Run one claimed job; returns the keyword arguments of its ack.
+
+        ``None`` means the lease was lost and the job is someone else's.
+        Spans the pipeline recorded in a child process join ``sink``.
+        """
         self.queue.worker_update(
             self.worker_id, state="busy", job_id=row.id
         )
@@ -297,10 +271,7 @@ class QueueWorker:
             # The front-end validates at submission, so this only fires
             # on specs enqueued through other paths (or future-version
             # specs) — record it, don't retry what cannot parse.
-            self._finish(
-                row, state="error", error=f"unparseable spec: {exc}"
-            )
-            return
+            return {"state": "error", "error": f"unparseable spec: {exc}"}
 
         store = self._store_for(parsed.config)
         key = row.key
@@ -339,8 +310,7 @@ class QueueWorker:
             except ValueError:
                 payload = None
             if payload is not None:
-                self._finish(row, state="done", result=payload, cached=True)
-                return
+                return {"state": "done", "result": payload, "cached": True}
 
         lost = threading.Event()
         hb_stop = threading.Event()
@@ -354,6 +324,8 @@ class QueueWorker:
         fired_before = {
             point: c["fired"] for point, c in _fault_counters().items()
         }
+        # The attempt span's context: (trace, span, job) IDs, or Nones.
+        attempt_ids = _trace.current_ids()
         try:
             _inject("worker.run")
             runner = BatchRunner(
@@ -361,18 +333,14 @@ class QueueWorker:
                 timeout=self.timeout,
                 backend=self.backend,
                 trace=(
-                    self._attempt_context.to_dict()
-                    if self._attempt_context is not None
+                    _trace.TraceContext(*attempt_ids).to_dict()
+                    if attempt_ids[0] is not None
                     else None
                 ),
                 **parsed.runner_kwargs(),
             )
             result = runner.run([parsed.job]).results[0]
-            if result.spans and self._trace_sink is not None:
-                # Pipeline spans recorded in the child process (or the
-                # in-process backends' own capture) join this attempt's
-                # sink for durable persistence.
-                self._trace_sink.extend(result.spans)
+            sink.extend(result.spans or ())
             payload = result.to_dict()
             state = "done" if result.ok else result.status
             error = result.error
@@ -403,7 +371,7 @@ class QueueWorker:
                 self.worker_id,
                 row.id,
             )
-            return
+            return None
 
         if (
             state == "done"
@@ -424,7 +392,7 @@ class QueueWorker:
         if warnings and payload is not None:
             payload = dict(payload)
             payload["warnings"] = warnings
-        self._finish(row, state=state, result=payload, error=error)
+        return {"state": state, "result": payload, "error": error}
 
     def _finish(
         self,
@@ -434,18 +402,17 @@ class QueueWorker:
         result: Optional[dict] = None,
         error: Optional[str] = None,
         cached: bool = False,
+        spans: Optional[list] = None,
     ) -> None:
-        with _trace.span("queue.ack", state=state):
-            acked = self.queue.ack(
-                row.id,
-                self.worker_id,
-                state=state,
-                result=result,
-                error=error,
-                cached=cached,
-            )
-        if acked:
-            self._record_outcome_spans(row, state=state, cached=cached)
+        acked = self.queue.ack(
+            row.id,
+            self.worker_id,
+            state=state,
+            result=result,
+            error=error,
+            cached=cached,
+            spans=spans,
+        )
         if not acked:
             _LOG.warning(
                 "worker %s could not ack job %s (lease reclaimed)",
@@ -466,52 +433,6 @@ class QueueWorker:
             row.id,
             state,
             ", cached" if cached else "",
-        )
-
-    def _record_outcome_spans(
-        self, row: JobRow, *, state: str, cached: bool
-    ) -> None:
-        """Synthesize the timeline spans only the acking worker can see.
-
-        The ``job`` root (span ID = job ID, so every attempt's spans
-        hang off the same node) covers submission → ack; ``queue.wait``
-        covers submission → first claim.  Both are reconstructed from
-        the persisted row timestamps, keeping the tree connected even
-        though no single process observed the whole lifetime.
-        """
-        sink = self._trace_sink
-        if sink is None or self._attempt_context is None:
-            return
-        trace_id = self._attempt_context.trace_id
-        finished = time.time()
-        sink.append(
-            _trace.synthetic_span(
-                trace_id=trace_id,
-                span_id=row.id,
-                parent_id=None,
-                name="job",
-                start=row.submitted,
-                duration=finished - row.submitted,
-                status="ok" if state == "done" else "error",
-                attributes={
-                    "job_id": row.id,
-                    "task": row.task,
-                    "state": state,
-                    "cached": cached,
-                    "attempts": row.attempts,
-                },
-            )
-        )
-        started = row.started if row.started is not None else finished
-        sink.append(
-            _trace.synthetic_span(
-                trace_id=trace_id,
-                span_id=f"{row.id}-wait",
-                parent_id=row.id,
-                name="queue.wait",
-                start=row.submitted,
-                duration=max(0.0, started - row.submitted),
-            )
         )
 
     def _heartbeat_loop(

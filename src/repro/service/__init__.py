@@ -21,7 +21,6 @@ from repro.service.manager import (
     VALID_TASKS,
     JobError,
     JobManager,
-    JobRecord,
 )
 from repro.service.server import (
     MAX_BODY_BYTES,
@@ -32,7 +31,6 @@ from repro.service.server import (
 __all__ = [
     "JobError",
     "JobManager",
-    "JobRecord",
     "ReproServer",
     "MAX_BODY_BYTES",
     "MAX_POLL_SECONDS",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-import time
 import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -46,8 +45,6 @@ from repro.queue import (
     QueueConfig,
     QueueWorker,
     TokenBucketLimiter,
-    input_digest,
-    job_from_spec,
     parse_spec,
 )
 from repro.store import ResultStore
@@ -56,7 +53,6 @@ from repro.utils.validation import ensure_choice, ensure_positive_int
 
 __all__ = [
     "JobError",
-    "JobRecord",
     "JobManager",
     "ServiceUnavailable",
     "SIMULATE_SPEC_KEYS",
@@ -74,15 +70,6 @@ class ServiceUnavailable(RuntimeError):
     """
 
 _LOG = get_logger("service")
-
-#: Former name of the row type ``GET /v1/jobs/<id>`` serves; the queue's
-#: row kept the old field names, so the alias keeps old imports working.
-JobRecord = JobRow
-
-# The spec helpers moved to repro.queue.spec when the queue subsystem
-# absorbed job parsing; the old private names stay importable.
-_job_from_spec = job_from_spec
-_input_digest = input_digest
 
 
 class JobManager:
@@ -205,7 +192,6 @@ class JobManager:
         """
         if self._shutdown:
             raise RuntimeError("the job manager is shut down")
-        submit_wall = time.time()
         job_id = uuid.uuid4().hex[:12]
         trace_id = _trace.ensure_trace_id(trace_id)
         parsed = parse_spec(
@@ -220,18 +206,24 @@ class JobManager:
         # that opts out (`"config": {"cache": "off"}`) must recompute,
         # mirroring the write path in the workers.
         cached_payload: Optional[dict] = None
-        lookup_elapsed = 0.0
+        spans: Optional[list] = None
         if (
             parsed.key is not None
             and self.store is not None
             and parsed.config.cache in ("read", "readwrite")
         ):
-            lookup_t0 = time.perf_counter()
-            cached_payload = self.store.get(parsed.key)
-            lookup_elapsed = time.perf_counter() - lookup_t0
+            context = _trace.TraceContext(
+                trace_id=trace_id, span_id=job_id, job_id=job_id
+            )
+            with _trace.activate(context) as sink:
+                cached_payload = self.store.get(parsed.key)
+            if cached_payload is not None and _trace.tracing_enabled():
+                # A hit completes here: the lookup is the job's trace,
+                # committed with its row.
+                spans = sink
 
         try:
-            row = self.queue.enqueue(
+            return self.queue.enqueue(
                 job_id=job_id,
                 task=parsed.task,
                 name=parsed.name,
@@ -243,6 +235,7 @@ class JobManager:
                 key=parsed.key,
                 cached_result=cached_payload,
                 trace_id=trace_id,
+                spans=spans,
             )
         except sqlite3.Error as exc:
             # Degraded mode: the durable queue is unreachable even after
@@ -254,53 +247,6 @@ class JobManager:
             raise ServiceUnavailable(
                 f"job queue unavailable: {exc}"
             ) from exc
-
-        if cached_payload is not None:
-            # A cache hit completes at submission — no worker will ever
-            # write this trace, so the front tier records the whole
-            # (sub-millisecond) timeline itself.
-            self._record_cached_trace(
-                row, submit_wall=submit_wall, lookup_elapsed=lookup_elapsed
-            )
-        return row
-
-    def _record_cached_trace(
-        self, row: JobRow, *, submit_wall: float, lookup_elapsed: float
-    ) -> None:
-        if row.trace_id is None:
-            return
-        spans = [
-            _trace.synthetic_span(
-                trace_id=row.trace_id,
-                span_id=row.id,
-                parent_id=None,
-                name="job",
-                start=submit_wall,
-                duration=max(time.time() - submit_wall, lookup_elapsed),
-                attributes={
-                    "job_id": row.id,
-                    "task": row.task,
-                    "state": "done",
-                    "cached": True,
-                    "attempts": 0,
-                },
-            ),
-            _trace.synthetic_span(
-                trace_id=row.trace_id,
-                span_id=f"{row.id}-lookup",
-                parent_id=row.id,
-                name="store.get",
-                start=submit_wall,
-                duration=lookup_elapsed,
-                attributes={"hit": True},
-            ),
-        ]
-        try:
-            self.queue.record_spans(spans, job_id=row.id)
-        except sqlite3.Error as exc:  # tracing must never fail a submit
-            _LOG.warning(
-                "could not persist trace for cached job %s: %s", row.id, exc
-            )
 
     # -- inspection ---------------------------------------------------------
 
@@ -325,31 +271,12 @@ class JobManager:
         )
 
     def trace(self, job_id: str) -> Optional[dict]:
-        """The span tree of one job (``GET /v1/jobs/<id>/trace``).
+        """The trace document of one job (``GET /v1/jobs/<id>/trace``).
 
-        Returns ``None`` for an unknown job.  A known job whose spans
-        were not persisted yet (still queued/running, or tracing off)
-        yields an empty tree rather than an error — the trace appears
-        as the attempts complete.
+        See :meth:`~repro.queue.JobQueue.trace`: ``None`` for an unknown
+        job, an empty tree until the job finishes.
         """
-        row = self.queue.get(job_id)
-        if row is None:
-            return None
-        try:
-            # Scoped to the job, not the trace id: a client may reuse
-            # one X-Repro-Trace-Id across submissions, and this
-            # endpoint promises a single tree for *this* job.
-            spans = self.queue.trace_spans(job_id=job_id)
-        except sqlite3.Error:
-            spans = []  # traces are best-effort while the queue degrades
-        return {
-            "job_id": row.id,
-            "trace_id": row.trace_id,
-            "status": row.state,
-            "span_count": len(spans),
-            "spans": spans,
-            "tree": _trace.build_tree(spans),
-        }
+        return self.queue.trace(job_id)
 
     def result_payload(self, key: str) -> Optional[dict]:
         """Fetch a raw store payload (``GET /v1/results/<key>``)."""

@@ -145,20 +145,6 @@ class TestEnvParsing:
         with pytest.raises(ConfigError, match="REPRO_TRACE"):
             trace.tracing_enabled()
 
-    def test_ring_default_and_override(self, monkeypatch):
-        monkeypatch.delenv(trace.ENV_TRACE_RING, raising=False)
-        assert trace.ring_from_env() == trace.DEFAULT_TRACE_RING
-        monkeypatch.setenv(trace.ENV_TRACE_RING, "7")
-        assert trace.ring_from_env() == 7
-
-    @pytest.mark.parametrize("raw", ["0", "-3", "many", "2.5"])
-    def test_ring_malformed_raises_naming_the_variable(
-        self, monkeypatch, raw
-    ):
-        monkeypatch.setenv(trace.ENV_TRACE_RING, raw)
-        with pytest.raises(ConfigError, match="REPRO_TRACE_RING"):
-            trace.ring_from_env()
-
 
 class TestTreeAndWaterfall:
     def _sample_spans(self):
@@ -248,32 +234,5 @@ class TestDurableRing:
             queue.record_spans([dict(span, duration=2.0)], job_id="j")
             (only,) = queue.trace_spans(job_id="j")
             assert only["duration"] == 2.0
-        finally:
-            queue.close()
-
-    def test_ring_bounds_retained_traces(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(trace.ENV_TRACE_RING, "3")
-        queue = JobQueue(tmp_path / "q.sqlite3")
-        try:
-            for i in range(6):
-                tid = f"trace-{i:04d}-padding"
-                queue.record_spans(
-                    [
-                        trace.synthetic_span(
-                            trace_id=tid,
-                            span_id=f"s{i}",
-                            parent_id=None,
-                            name="job",
-                            start=float(i),
-                            duration=0.1,
-                        )
-                    ],
-                    job_id=f"job-{i}",
-                )
-            # The oldest traces were evicted; the newest three survive.
-            assert queue.trace_spans(trace_id="trace-0000-padding") == []
-            assert queue.trace_spans(trace_id="trace-0002-padding") == []
-            for i in (3, 4, 5):
-                assert queue.trace_spans(trace_id=f"trace-{i:04d}-padding")
         finally:
             queue.close()

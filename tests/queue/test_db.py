@@ -328,8 +328,9 @@ class TestWakeUps:
             assert wakes(lambda: queue.claim("w1"))
             assert wakes(lambda: queue.release("a1", "w1"))
             queue.claim("w1")
-            # The worker wakes waiters itself once the trace is stored.
-            assert not wakes(
+            # The ack commits the job's trace with its state, so it
+            # wakes waiters; a bare span write wakes nobody.
+            assert wakes(
                 lambda: queue.ack("a1", "w1", state="done", result={})
             )
             assert not wakes(
@@ -354,9 +355,111 @@ class TestWakeUps:
             queue.claim("w1")
             assert not wakes(lambda: queue.claim("w2"))
             assert not wakes(lambda: queue.release("a1", "w2"))
+            assert not wakes(lambda: queue.ack("a1", "w2", state="done"))
             assert not wakes(lambda: queue.retry("a1"))
         finally:
             other.close()
+
+
+def _span(name, *, start, parent_id="a1", span_id=None, **attributes):
+    return {
+        "trace_id": "t" * 32,
+        "span_id": span_id or f"s-{name}",
+        "parent_id": parent_id,
+        "name": name,
+        "start": start,
+        "duration": 0.001,
+        "attributes": attributes,
+    }
+
+
+class TestTraceCommit:
+    def test_ack_commits_the_spans_under_a_job_root(self, queue):
+        _enqueue(queue, "a1", trace_id="t" * 32)
+        queue.claim("w1")
+        attempt = _span("worker.attempt", start=time.time())
+        assert queue.ack("a1", "w1", state="done", result={}, spans=[attempt])
+        row = queue.get("a1")
+        document = queue.trace("a1")
+        assert document["status"] == "done"
+        (root,) = document["tree"]
+        assert (root["name"], root["span_id"]) == ("job", "a1")
+        assert root["attributes"] == {
+            "job_id": "a1",
+            "task": "check",
+            "state": "done",
+            "cached": False,
+            "attempts": 1,
+        }
+        # The root runs from submission to the ack's commit.
+        assert root["start"] == row.submitted
+        assert 0.0 <= root["start"] + root["duration"] - row.finished < 1.0
+        children = {child["name"]: child for child in root["children"]}
+        assert set(children) == {"queue.wait", "queue.ack", "worker.attempt"}
+        assert children["queue.wait"]["duration"] == (
+            row.started - row.submitted
+        )
+        assert children["queue.ack"]["attributes"] == {"state": "done"}
+
+    def test_no_spans_and_lost_acks_write_no_trace(self, queue):
+        _enqueue(queue, "a1")
+        _enqueue(queue, "a2")
+        queue.claim("w1")
+        queue.claim("w1")
+        # spans=None is tracing off; an ack by a non-owner is refused.
+        assert queue.ack("a1", "w1", state="done", result={})
+        assert not queue.ack(
+            "a2", "w2", state="done", spans=[_span("x", start=1.0)]
+        )
+        assert queue.trace_spans(job_id="a1") == []
+        assert queue.trace_spans(job_id="a2") == []
+
+    def test_a_failed_trace_write_rolls_the_ack_back(self, queue, monkeypatch):
+        _enqueue(queue, "a1")
+        queue.claim("w1")
+
+        def broken(*args, **kwargs):
+            raise sqlite3.OperationalError("disk I/O error")
+
+        monkeypatch.setattr(queue, "_write_trace", broken)
+        with pytest.raises(sqlite3.OperationalError):
+            queue.ack("a1", "w1", state="done", result={}, spans=[])
+        assert queue.get("a1").state == "running"
+
+    def test_unencodable_spans_are_dropped_not_raised(self, queue, caplog):
+        _enqueue(queue, "a1")
+        queue.claim("w1")
+        spans = [
+            _span("worker.attempt", start=time.time()),
+            {"name": "no-ids"},
+            _span("bad.attrs", start=1.0, span_id="s2", blob=object()),
+            _span("bad.time", start="never", span_id="s3"),
+        ]
+        assert queue.ack("a1", "w1", state="done", result={}, spans=spans)
+        names = sorted(s["name"] for s in queue.trace_spans(job_id="a1"))
+        assert names == ["job", "queue.ack", "queue.wait", "worker.attempt"]
+        assert sum("dropping a span" in r.message for r in caplog.records) == 3
+
+    def test_cached_enqueue_roots_the_lookup_made_before_it(self, queue):
+        lookup = _span("store.get", start=time.time() - 0.5, hit=True)
+        row = _enqueue(
+            queue,
+            "a1",
+            cached_result={"status": "ok"},
+            trace_id="t" * 32,
+            spans=[lookup],
+        )
+        (root,) = queue.trace("a1")["tree"]
+        assert root["name"] == "job"
+        assert root["attributes"]["cached"] is True
+        assert root["start"] == lookup["start"]
+        assert 0.0 <= root["start"] + root["duration"] - row.finished < 1.0
+        assert [child["name"] for child in root["children"]] == ["store.get"]
+
+    def test_only_a_cached_row_is_enqueued_with_spans(self, queue):
+        with pytest.raises(ValueError, match="cached"):
+            _enqueue(queue, "a1", spans=[])
+        assert queue.get("a1") is None
 
 
 class TestStats:

@@ -219,6 +219,34 @@ class TestWakeUps:
             self._stop(worker, thread)
 
 
+class TestLostLease:
+    def test_an_attempt_that_lost_its_lease_writes_no_span(self, queue_path):
+        config = RunConfig(cache="off")
+        with JobQueue(queue_path) as queue:
+            _enqueue(queue, SPEC, config)
+            zombie = _worker(queue_path, worker_id="zombie")
+            try:
+                # The zombie's lease lapses at once: the owner reclaims
+                # the job and finishes it while the zombie is stalled.
+                claim_wall = time.time()
+                stale = zombie.queue.claim("zombie", lease_seconds=0.0)
+                owner = _worker(queue_path, worker_id="owner", max_jobs=1)
+                assert owner.run() == 1
+                # The zombie resumes and runs the job it no longer owns.
+                zombie._execute_traced(
+                    stale, claim_wall=claim_wall, claim_elapsed=0.0
+                )
+            finally:
+                zombie.queue.close()
+            row = queue.get("job1")
+            assert (row.state, row.attempts) == ("done", 2)
+            spans = queue.trace_spans(job_id="job1")
+        names = [s["name"] for s in spans]
+        assert (names.count("job"), names.count("worker.attempt")) == (1, 1)
+        (attempt,) = [s for s in spans if s["name"] == "worker.attempt"]
+        assert attempt["attributes"]["worker"] == "owner"
+
+
 class TestValidation:
     def test_rejects_unknown_backend(self, queue_path):
         with pytest.raises(ValueError, match="backend"):

@@ -214,16 +214,10 @@ class TestEmittedSeries:
 
     @staticmethod
     def _spans_of(server, job_id):
-        # A poll can see ``done`` a moment before the worker persists
-        # the attempt's spans, which land in one write with the root.
-        deadline = time.time() + 30.0
-        while True:
-            status, payload = _get_json(server, f"/v1/jobs/{job_id}/trace")
-            assert status == 200
-            names = [s["name"] for s in payload["spans"]]
-            if "job" in names or time.time() > deadline:
-                return Counter(names)
-            time.sleep(0.02)
+        # A job reads ``done`` only with its whole trace: fetch it once.
+        status, payload = _get_json(server, f"/v1/jobs/{job_id}/trace")
+        assert status == 200
+        return Counter(s["name"] for s in payload["spans"])
 
     def test_span_multisets_and_metric_series(self, tmp_path):
         reset_registry()

@@ -10,7 +10,7 @@ import pytest
 
 from repro.core.config import RunConfig
 from repro.service import JobError, JobManager, ReproServer
-from repro.service.manager import _input_digest, _job_from_spec
+from repro.queue.spec import input_digest, job_from_spec
 from repro.synth.generator import random_macromodel
 from repro.touchstone.writer import write_touchstone
 
@@ -221,16 +221,16 @@ class TestEndpoints:
 class TestManagerUnit:
     def test_invalid_specs_raise_job_error(self):
         with pytest.raises(JobError):
-            _job_from_spec({"kind": "touchstone"}, "x")
+            job_from_spec({"kind": "touchstone"}, "x")
         with pytest.raises(JobError):
-            _job_from_spec({"kind": "model"}, "x")
+            job_from_spec({"kind": "model"}, "x")
         with pytest.raises(JobError):
-            _job_from_spec({"kind": "model", "model": {"poles": []}}, "x")
+            job_from_spec({"kind": "model", "model": {"poles": []}}, "x")
 
     def test_input_digest_ignores_name(self):
-        job_a = _job_from_spec(SPEC, "alpha")
-        job_b = _job_from_spec(SPEC, "beta")
-        assert _input_digest(job_a, SPEC) == _input_digest(job_b, SPEC)
+        job_a = job_from_spec(SPEC, "alpha")
+        job_b = job_from_spec(SPEC, "beta")
+        assert input_digest(job_a, SPEC) == input_digest(job_b, SPEC)
 
     def test_shutdown_refuses_new_work(self, tmp_path):
         manager = JobManager(

@@ -82,6 +82,29 @@ def _walk(node, depth=0):
         yield from _walk(child, depth + 1)
 
 
+def _tree_faults(payload, job_id):
+    """What keeps a trace payload from being one complete tree.
+
+    Empty when the spans form a single tree rooted at the job's ``job``
+    span, with every child inside its parent.
+    """
+    if len(payload["tree"]) != 1:
+        return [f"{len(payload['tree'])} roots: {payload['spans']}"]
+    (root,) = payload["tree"]
+    if (root["name"], root["span_id"]) != ("job", job_id):
+        return [f"root is {root['name']} {root['span_id']}"]
+    faults = []
+    for node, _ in _walk(root):
+        end = node["start"] + node["duration"]
+        for child in node.get("children", ()):
+            if (
+                child["start"] < node["start"] - SLACK
+                or child["start"] + child["duration"] > end + SLACK
+            ):
+                faults.append(f"{child['name']} outside {node['name']}")
+    return faults
+
+
 class TestServiceTraceEndToEnd:
     def test_submitted_trace_id_yields_one_connected_tree(self, tmp_path):
         server = _server(tmp_path)
@@ -121,13 +144,7 @@ class TestServiceTraceEndToEnd:
             assert any(n.startswith("store.") for n in names)
 
             # Nesting is monotonic: every child fits inside its parent.
-            for node, _ in _walk(root):
-                end = node["start"] + node["duration"]
-                for child in node.get("children", ()):
-                    assert child["start"] >= node["start"] - SLACK
-                    assert (
-                        child["start"] + child["duration"] <= end + SLACK
-                    )
+            assert _tree_faults(payload, record["id"]) == []
         finally:
             server.stop()
 
@@ -206,14 +223,60 @@ class TestServiceTraceEndToEnd:
         try:
             _, record = _post(server, SPEC)
             _wait_done(server, record["id"])
-            status, payload = _get(
-                server, f"/v1/jobs/{record['id']}/trace"
-            )
-            assert status == 200
-            assert payload["spans"] == []
-            assert payload["tree"] == []
+            # The cached resubmission writes no trace either.
+            _, cached = _post(server, SPEC)
+            assert cached["cached"]
+            for job_id in (record["id"], cached["id"]):
+                status, payload = _get(server, f"/v1/jobs/{job_id}/trace")
+                assert status == 200
+                assert payload["spans"] == []
+                assert payload["tree"] == []
         finally:
             server.stop()
+
+
+class TestTraceCompleteAtDone:
+    """A client that reads ``done`` can fetch the whole trace at once."""
+
+    JOBS = 30
+
+    def test_done_and_cached_jobs_have_complete_traces(self, tmp_path):
+        server = _server(tmp_path)
+        fresh, cached = {}, {}
+        try:
+            for index in range(self.JOBS):
+                spec = dict(SPEC, seed=100 + index)
+                _, record = _post(server, spec)
+                # Plain GETs, no sleep: the trace is read at the first
+                # ``done``, with no wake-up ordering to lean on.
+                while record["status"] not in TERMINAL_STATES:
+                    _, record = _get(server, f"/v1/jobs/{record['id']}")
+                assert record["status"] == "done", record
+                _, payload = _get(server, f"/v1/jobs/{record['id']}/trace")
+                faults = _tree_faults(payload, record["id"])
+                if faults:
+                    fresh[record["id"]] = faults
+
+                status, resubmitted = _post(server, spec)
+                assert status == 200 and resubmitted["cached"]
+                _, payload = _get(
+                    server, f"/v1/jobs/{resubmitted['id']}/trace"
+                )
+                faults = _tree_faults(payload, resubmitted["id"])
+                names = sorted(s["name"] for s in payload["spans"])
+                if names != ["job", "store.get"]:
+                    faults.append(f"spans {names}")
+                elif not any(
+                    s["attributes"].get("hit") is True
+                    for s in payload["spans"]
+                    if s["name"] == "store.get"
+                ):
+                    faults.append("store.get is not a hit")
+                if faults:
+                    cached[resubmitted["id"]] = faults
+        finally:
+            server.stop()
+        assert (len(fresh), len(cached)) == (0, 0), (fresh, cached)
 
 
 class TestStructuredAccessLog:
@@ -274,12 +337,7 @@ class TestTraceCli:
     def test_json_mode_round_trips_the_payload(self, tmp_path, capsys):
         job_id, payload, queue_path = self._finished_job(tmp_path)
         assert main(["trace", job_id, "--queue", queue_path, "--json"]) == 0
-        decoded = json.loads(capsys.readouterr().out)
-        assert decoded["trace_id"] == payload["trace_id"]
-        assert decoded["span_count"] == payload["span_count"]
-        assert {s["span_id"] for s in decoded["spans"]} == {
-            s["span_id"] for s in payload["spans"]
-        }
+        assert json.loads(capsys.readouterr().out) == payload
 
     def test_unknown_job_exits_nonzero(self, tmp_path, capsys):
         _, _, queue_path = self._finished_job(tmp_path)
