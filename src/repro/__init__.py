@@ -27,19 +27,24 @@ Configuration can come from code, dictionaries, or the environment::
     config = RunConfig.from_dict({"num_threads": 8, "strategy": "queue"})
     config = config.merged(representation="immittance")
 
-Scheduling strategies are pluggable: ``bisection`` / ``queue`` /
-``static`` / ``process`` and the full eigensolution ``dense`` ship
-registered in :mod:`repro.core.registry`, and new backends join via
-:func:`register_strategy` without touching the solver.
+The solver runs one of a closed set of strategies: the full
+eigensolution ``dense``, classical ``bisection``, the dynamic ``queue``
+scheduler, its ``static`` ablation and the pooled ``process`` sweep.
+:func:`resolve_strategy` decides which one a config runs.
+:class:`RunConfig` calls it when it is built, so a contradictory config
+such as ``RunConfig(strategy="bisection", num_threads=4)`` raises there.
+:func:`solve` and the passivity functions (:func:`hinf_norm`,
+:func:`characterize_immittance_passivity`, ...) all take
+``config=None, **overrides``::
+
+    report = characterize_immittance_passivity(model, num_threads=4)
 """
 
 from repro.api import (
     ConfigError,
     Macromodel,
     RunConfig,
-    StrategySpec,
     available_strategies,
-    register_strategy,
     resolve_strategy,
 )
 from repro.batch import BatchRunner, FleetReport, synth_fleet
@@ -85,10 +90,8 @@ __all__ = [
     "synth_fleet",
     # Content-addressed result store.
     "ResultStore",
-    # Strategy registry.
-    "StrategySpec",
+    # Strategy table.
     "available_strategies",
-    "register_strategy",
     "resolve_strategy",
     # Model and result types.
     "SolveResult",

@@ -14,23 +14,16 @@ This package is the recommended entry point of the library::
 
 It re-exports the building blocks the facade is made of: the single
 :class:`~repro.core.config.RunConfig` carrying every cross-cutting knob,
-and the pluggable strategy registry
-(:func:`~repro.core.registry.register_strategy` /
-:func:`~repro.core.registry.resolve_strategy`) through which new sweep
-backends plug into the solver without touching the dispatcher.
+and the strategy table's names and resolver
+(:func:`~repro.core.registry.available_strategies` /
+:func:`~repro.core.registry.resolve_strategy`), which decides what a
+config runs.
 """
 
 from repro.api.session import Macromodel
 from repro.core.config import ConfigError, RunConfig
 from repro.core.options import SolverOptions
-from repro.core.registry import (
-    BACKENDS,
-    StrategySpec,
-    available_strategies,
-    register_strategy,
-    resolve_strategy,
-    unregister_strategy,
-)
+from repro.core.registry import BACKENDS, available_strategies, resolve_strategy
 
 __all__ = [
     "BACKENDS",
@@ -38,9 +31,6 @@ __all__ = [
     "Macromodel",
     "RunConfig",
     "SolverOptions",
-    "StrategySpec",
     "available_strategies",
-    "register_strategy",
     "resolve_strategy",
-    "unregister_strategy",
 ]

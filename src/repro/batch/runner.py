@@ -328,10 +328,10 @@ def _run_pipeline(job: BatchJob, settings: JobSettings) -> JobResult:
     if (
         settings.in_process_pool
         and config is not None
-        and config.backend == "process"
+        and "process" in (config.strategy, config.backend)
     ):
         # No pools inside pools: the fleet already owns the cores.
-        config = config.merged(backend="auto")
+        config = config.merged(strategy="auto", backend="auto")
     try:
         session = job.open_session(config)
         if job.needs_fit:

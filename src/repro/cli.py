@@ -32,7 +32,7 @@ pipeline over a whole fleet of models on a bounded worker pool;
 process to the service's durable queue (run N of them to scale out;
 SIGTERM drains gracefully); ``jobs`` administers that queue (list /
 show / retry / purge); ``info`` summarizes the file; ``strategies``
-lists the registered scheduling strategies.
+lists the scheduling strategies.
 
 The CLI is a thin shell over the :class:`~repro.api.Macromodel` facade.
 The fitting commands (``check`` / ``enforce`` / ``hinf``) accept
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -62,7 +63,7 @@ import numpy as np
 
 from repro.api import Macromodel, available_strategies
 from repro.core.config import CACHE_MODES, RunConfig
-from repro.core.registry import AUTO_DESCRIPTION, BACKENDS, get_strategy
+from repro.core.registry import AUTO_DESCRIPTION, BACKENDS, STRATEGIES
 from repro.hamiltonian.operator import REPRESENTATIONS
 
 __all__ = ["main", "build_parser", "version_string"]
@@ -619,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the machine-readable registry",
     )
 
-    sub.add_parser("strategies", help="list registered scheduling strategies")
+    sub.add_parser("strategies", help="list the scheduling strategies")
 
     bench = sub.add_parser(
         "bench",
@@ -743,9 +744,6 @@ def _fit_session(args, *, scattering_only: bool = False) -> Macromodel:
             f" {session.data.parameter}-parameters); pass"
             " --representation scattering to override"
         )
-    # Also resolve the strategy/thread combination before the fit, so
-    # e.g. --strategy bisection --threads 4 fails in milliseconds.
-    session.config.resolved_strategy()
     session.fit(num_poles=args.poles)
     fit = session.fit_result
     _say(
@@ -1165,10 +1163,17 @@ def _cmd_worker(args) -> int:
 
 
 def _open_queue(args):
-    """The existing queue database a read or admin subcommand opens."""
-    from repro.queue import JobQueue
+    """The existing queue database a read or admin subcommand opens.
 
-    queue_path = _queue_config(args).resolve_path(args.cache_dir)
+    Only the path is resolved: ``--queue``, else ``REPRO_QUEUE_PATH``,
+    else ``queue.sqlite3`` in the ``--cache-dir`` store.  The lease, poll
+    and rate knobs are for ``serve`` and ``worker``, so a malformed one
+    must not fail a read.
+    """
+    from repro.queue import QUEUE_ENV_PREFIX, JobQueue, QueueConfig
+
+    path = args.queue or os.environ.get(QUEUE_ENV_PREFIX + "PATH", "").strip()
+    queue_path = QueueConfig(path=path or None).resolve_path(args.cache_dir)
     if not queue_path.is_file():
         raise ValueError(
             f"no queue database at {queue_path} (start 'repro serve' or"
@@ -1327,19 +1332,10 @@ def _cmd_faults(args) -> int:
 
 def _cmd_strategies(args) -> int:
     for name in available_strategies(include_auto=False):
-        spec = get_strategy(name)
-        if spec.max_threads == 1:
-            threads = "1 thread"
-        elif spec.min_threads > 1:
-            threads = f">= {spec.min_threads} threads"
-            if spec.max_threads is not None:
-                threads += f", <= {spec.max_threads}"
-        elif spec.max_threads is not None:
-            threads = f"<= {spec.max_threads} threads"
-        else:
-            threads = "any thread count"
-        backends = "/".join(spec.backends)
-        print(f"{spec.name:<12} [{threads}; {backends}] {spec.description}")
+        row = STRATEGIES[name]
+        threads = "1 thread" if row.sequential else "any thread count"
+        backends = "/".join(row.backends)
+        print(f"{name:<12} [{threads}; {backends}] {row.description}")
     print(f"{'auto':<12} [resolves] {AUTO_DESCRIPTION}")
     print(f"representations: {', '.join(REPRESENTATIONS)}")
     return 0

@@ -16,22 +16,17 @@ Layering (bottom up):
   either, with each shift run inline, on threads, or on a process pool;
 * :mod:`repro.core.dense` -- the full O(n^3) eigensolution that
   ``strategy="auto"`` picks below the measured crossover order;
-* :mod:`repro.core.registry` -- the pluggable strategy registry the
-  built-in strategies register into;
+* :mod:`repro.core.registry` -- the closed table of the five strategies
+  and :func:`resolve_strategy`, which decides the one a solve runs;
 * :mod:`repro.core.config` -- the single :class:`RunConfig` carrying all
-  cross-cutting knobs;
-* :mod:`repro.core.solver` -- the public API :func:`solve`, dispatching
-  through the registry.
+  cross-cutting knobs, checked by the resolver when it is built;
+* :mod:`repro.core.solver` -- the public API :func:`solve`, running
+  ``dense`` or the sweep the resolver names.
 """
 
 from repro.core.config import RunConfig
 from repro.core.options import SolverOptions
-from repro.core.registry import (
-    StrategySpec,
-    available_strategies,
-    register_strategy,
-    resolve_strategy,
-)
+from repro.core.registry import available_strategies, resolve_strategy
 from repro.core.results import ShiftRecord, SingleShiftResult, SolveResult
 from repro.core.single_shift import SingleShiftSolver, estimate_spectral_bound
 from repro.core.solver import solve
@@ -39,9 +34,7 @@ from repro.core.solver import solve
 __all__ = [
     "RunConfig",
     "SolverOptions",
-    "StrategySpec",
     "available_strategies",
-    "register_strategy",
     "resolve_strategy",
     "SingleShiftResult",
     "ShiftRecord",

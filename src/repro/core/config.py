@@ -13,10 +13,12 @@ unchanged from the CLI / environment / facade down to the drivers:
 * ``config.merged(num_threads=8)`` — functional per-call overrides;
 * ``config.to_dict()`` — JSON-serializable round-trip.
 
-Validation of the ``strategy`` and ``representation`` strings happens
-here, centrally, with a single error message listing the valid choices
-(the strategy list is live — plugins registered through
-:mod:`repro.core.registry` are accepted automatically).
+Validation happens here, centrally, with a single error message per
+mistake: unknown strings list the valid choices, and the strategy,
+backend and thread count go through
+:func:`~repro.core.registry.resolve_strategy` when the config is built,
+so a contradictory combination such as ``strategy="bisection",
+num_threads=4`` fails where it is written, not at solve time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Mapping, Optional
 
 from repro.core.options import SolverOptions
-from repro.core.registry import ensure_backend, ensure_strategy, resolve_strategy
+from repro.core.registry import resolve_strategy
 from repro.hamiltonian.operator import REPRESENTATIONS
 from repro.utils.validation import (
     ensure_choice,
@@ -129,11 +131,13 @@ class RunConfig:
     representation:
         ``"scattering"`` (default) or ``"immittance"``.
     strategy:
-        A registered strategy name or ``"auto"``: the ``dense``
-        eigensolution for a model below
+        A name in :data:`~repro.core.registry.STRATEGIES` or ``"auto"``:
+        the ``dense`` eigensolution for a model below
         :data:`~repro.core.registry.DENSE_MAX_ORDER` with one thread and
         ``backend="auto"``, else bisection when serial and the dynamic
-        queue scheduler otherwise.
+        queue scheduler otherwise.  A combination the resolver rejects
+        (``strategy="bisection", num_threads=4``) raises
+        :class:`ValueError` here.
     backend:
         Execution backend: ``"serial"`` (one worker, calling thread),
         ``"thread"`` (thread pool), ``"process"`` (multiprocessing pool
@@ -176,8 +180,7 @@ class RunConfig:
             self, "num_threads", ensure_positive_int(self.num_threads, "num_threads")
         )
         ensure_representation(self.representation)
-        ensure_strategy(self.strategy)
-        ensure_backend(self.backend)
+        resolve_strategy(self.strategy, self.num_threads, backend=self.backend)
         object.__setattr__(
             self, "omega_min", ensure_nonnegative_float(self.omega_min, "omega_min")
         )
@@ -205,28 +208,6 @@ class RunConfig:
                 )
 
     # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_legacy(
-        cls,
-        *,
-        num_threads: int = 1,
-        strategy: str = "auto",
-        omega_max: Optional[float] = None,
-        options: Optional[SolverOptions] = None,
-    ) -> "RunConfig":
-        """Build a config from the historical loose keyword arguments.
-
-        The single adapter used by every free function that still accepts
-        ``num_threads=`` / ``strategy=`` / ``options=`` keywords, so the
-        kwargs→config translation lives in exactly one place.
-        """
-        return cls(
-            num_threads=num_threads,
-            strategy=strategy,
-            omega_max=omega_max,
-            options=options if options is not None else SolverOptions(),
-        )
 
     @classmethod
     def from_dict(cls, mapping: Mapping[str, Any]) -> "RunConfig":
@@ -350,19 +331,6 @@ class RunConfig:
         facade's full-axis stages.
         """
         return self.omega_min > 0.0 or self.omega_max is not None
-
-    def resolved_strategy(self) -> str:
-        """The strategy ``"auto"`` resolves to for a model of unknown order.
-
-        That is the sweep a large model gets.  :func:`~repro.core.solver.solve`
-        resolves with the model's order, so there a model below
-        :data:`~repro.core.registry.DENSE_MAX_ORDER` on one thread with
-        ``backend="auto"`` is solved ``dense``.  Raises
-        :class:`ValueError` on contradictory combinations either way.
-        """
-        return resolve_strategy(
-            self.strategy, self.num_threads, backend=self.backend
-        ).name
 
     def to_dict(self) -> dict:
         """JSON-serializable dictionary round-tripping via :meth:`from_dict`."""

@@ -50,11 +50,11 @@ def dense(
 ) -> SolveResult:
     """Find all imaginary Hamiltonian eigenvalues with a dense eigensolve.
 
-    Takes the registry's uniform driver signature.  The input is
-    validated as for a sweep, so zero-order, unstable and ``sigma(D) >=
-    1`` models raise the same errors.  With ``omega_max=None`` the upper
-    band edge is ``omega_margin * max|lambda|``, the value Sec. IV.A's
-    Arnoldi run estimates.
+    Takes the arguments of :func:`~repro.core.sweep.sweep` but
+    ``strategy``.  The input is validated as for a sweep, so zero-order,
+    unstable and ``sigma(D) >= 1`` models raise the same errors.  With
+    ``omega_max=None`` the upper band edge is ``omega_margin *
+    max|lambda|``, the value Sec. IV.A's Arnoldi run estimates.
     """
     simo, op, _ = prepare_operator(model, representation)
     started = time.perf_counter()

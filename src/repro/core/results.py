@@ -161,7 +161,7 @@ class SolveResult:
     strategy:
         The strategy that ran: ``"dense"`` (one full eigensolution,
         recorded as one disk), ``"bisection"``, ``"queue"``,
-        ``"static"`` or ``"process"``, or a plugin's name.
+        ``"static"`` or ``"process"``.
     """
 
     omegas: np.ndarray

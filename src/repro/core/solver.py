@@ -1,23 +1,25 @@
 """Public entry point of the Hamiltonian eigensolver.
 
 :func:`solve` takes a :class:`~repro.core.config.RunConfig`, resolves the
-scheduling strategy through the pluggable registry
-(:mod:`repro.core.registry`), and returns a
-:class:`~repro.core.results.SolveResult` whose ``omegas`` attribute holds
-the complete set of non-negative crossing frequencies (the paper's
-``Omega`` on the upper half axis).  It is the one entry point to the
-solver: the :class:`~repro.api.Macromodel` facade and the passivity
-stages all call it.
+strategy to run with :func:`~repro.core.registry.resolve_strategy`, and
+returns a :class:`~repro.core.results.SolveResult` whose ``omegas``
+attribute holds the complete set of non-negative crossing frequencies
+(the paper's ``Omega`` on the upper half axis).  It is the one entry
+point to the solver: the :class:`~repro.api.Macromodel` facade and the
+passivity stages all call it.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 from repro.core.config import RunConfig
+from repro.core.dense import dense
 from repro.core.drivers import ModelInput
 from repro.core.registry import resolve_strategy
 from repro.core.results import SolveResult
+from repro.core.sweep import sweep
 from repro.obs import trace as _obs_trace
 from repro.utils.guards import ensure_finite
 
@@ -67,22 +69,21 @@ def solve(
     >>> result.omegas.shape[0] == result.num_crossings
     True
     """
-    config = config if config is not None else RunConfig()
-    if overrides:
-        config = config.merged(**overrides)
+    config = (config if config is not None else RunConfig()).merged(**overrides)
     # A wrong input type resolves without an order; its driver raises the
     # TypeError.
     order = getattr(model, "order", None)
-    spec = resolve_strategy(
+    name = resolve_strategy(
         config.strategy, config.num_threads, backend=config.backend, order=order
     )
+    driver = dense if name == "dense" else partial(sweep, strategy=name)
     with _obs_trace.span(
         "solve.sweep",
-        strategy=spec.name,
+        strategy=name,
         order=order,
         threads=config.num_threads,
     ) as sweep_span:
-        result = spec.driver(
+        result = driver(
             model,
             num_threads=config.num_threads,
             representation=config.representation,
@@ -90,14 +91,10 @@ def solve(
             omega_max=config.omega_max,
             options=config.options,
         )
-        # What ran: a process sweep of a small model runs on threads.
-        sweep_span.annotate("strategy", getattr(result, "strategy", spec.name))
+        # What ran: a pool that fails at run time falls back to threads.
+        sweep_span.annotate("strategy", result.strategy)
     # A NaN/Inf crossing frequency means the eigensolve itself broke
     # down (singular pencil, overflowed Hamiltonian) — surface it as a
     # structured diagnostic, never as a silently wrong passivity verdict.
-    # Plugin drivers may return their own result type; only the standard
-    # SolveResult shape is guarded.
-    omegas = getattr(result, "omegas", None)
-    if omegas is not None:
-        ensure_finite(omegas, stage="solve", what="crossing frequencies")
+    ensure_finite(result.omegas, stage="solve", what="crossing frequencies")
     return result

@@ -26,18 +26,18 @@ cross-segment elimination) or the bisection policy of Fig. 2,
 depends only on the root seed and its segment index, on every executor:
 pool workers receive the caller's root stream.
 
-``backend="process"`` runs on threads instead when the model is below
-:data:`PROCESS_MIN_ORDER` dynamic order (override with
-``REPRO_PROCESS_MIN_ORDER``), where forking the pool costs more than the
-sweep, and when the pool cannot start or breaks mid-sweep (restricted
-sandboxes, missing semaphores, a killed worker).  An exception raised by
-a shift itself propagates unchanged.
+A ``process`` sweep with one worker runs inline.  Below
+:data:`PROCESS_MIN_ORDER` dynamic order, where forking the pool costs
+more than the sweep, :func:`~repro.core.registry.resolve_strategy` runs
+``queue`` instead.  A pool that cannot start or breaks mid-sweep
+(restricted sandboxes, missing semaphores, a killed worker) falls back
+to threads here.  An exception raised by a shift itself propagates
+unchanged.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -59,59 +59,17 @@ from repro.utils.logging import get_logger
 from repro.utils.rng import RandomStream
 from repro.utils.timing import WorkCounter
 
-__all__ = [
-    "sweep",
-    "select_process_execution",
-    "preferred_mp_context",
-    "PROCESS_MIN_ORDER",
-    "ENV_MIN_ORDER",
-]
+__all__ = ["sweep", "preferred_mp_context", "PROCESS_MIN_ORDER"]
 
 _LOG = get_logger("sweep")
 
 #: Dynamic order below which forking worker processes costs more than the
-#: whole sweep; smaller models run on threads instead.
+#: whole sweep; :func:`~repro.core.registry.resolve_strategy` runs a
+#: pooled sweep of a smaller model on threads.
 PROCESS_MIN_ORDER = 128
-
-#: Environment variable overriding :data:`PROCESS_MIN_ORDER` (useful to
-#: force the real process path in tests: ``REPRO_PROCESS_MIN_ORDER=1``).
-ENV_MIN_ORDER = "REPRO_PROCESS_MIN_ORDER"
 
 #: A run step: ``(segment, rho0, worker slot) -> ShiftRecord``.
 RunStep = Callable[[Segment, float, int], ShiftRecord]
-
-
-def _min_order() -> int:
-    raw = os.environ.get(ENV_MIN_ORDER)
-    if raw is None or not raw.strip():
-        return PROCESS_MIN_ORDER
-    try:
-        return int(raw)
-    except ValueError as exc:
-        # Imported lazily: config imports the registry, which registers
-        # this module at import time — a top-level import would cycle.
-        from repro.core.config import ConfigError
-
-        raise ConfigError(f"invalid {ENV_MIN_ORDER}={raw!r}: {exc}") from exc
-
-
-def select_process_execution(order: int, num_threads: int) -> str:
-    """Decide how a ``backend="process"`` request is executed.
-
-    Returns
-    -------
-    str
-        ``"process"`` — run each slot's shifts on a worker pool;
-        ``"inline"``  — one worker requested: one slot in the calling
-        process (no pool, zero fork cost);
-        ``"thread"``  — the model is too small to amortize fork+pickle
-        cost, run the slots as threads.
-    """
-    if num_threads == 1:
-        return "inline"
-    if order < _min_order():
-        return "thread"
-    return "process"
 
 
 def preferred_mp_context():
@@ -291,23 +249,14 @@ def sweep(
 ) -> SolveResult:
     """Find all imaginary Hamiltonian eigenvalues with a built-in strategy.
 
-    ``strategy`` is the registry's resolved name — ``"bisection"``,
-    ``"queue"``, ``"static"`` or ``"process"``; the other arguments are
-    the registry's uniform driver signature.  ``SolveResult.strategy``
-    reports ``"queue"`` when a process sweep ran on threads.
+    ``strategy`` is the resolved name — ``"bisection"``, ``"queue"``,
+    ``"static"`` or ``"process"``; the other arguments are the
+    :class:`~repro.core.config.RunConfig` fields.  ``SolveResult.strategy``
+    reports ``"queue"`` when the process pool failed and the sweep ran on
+    threads.
     """
     simo, op, work = prepare_operator(model, representation)
-    remote = False
-    if strategy == "process":
-        execution = select_process_execution(simo.order, num_threads)
-        if execution == "thread":
-            _LOG.debug(
-                "process backend on threads: order %d < min order %d",
-                simo.order,
-                _min_order(),
-            )
-            strategy = "queue"
-        remote = execution == "process"
+    remote = strategy == "process" and num_threads > 1
     root_stream = RandomStream(options.seed)
     band = resolve_band(
         op, omega_min, omega_max, options, root_stream.spawn(key=0x5EED)

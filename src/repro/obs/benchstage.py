@@ -40,6 +40,7 @@ from repro import RunConfig, solve
 from repro.api import Macromodel
 from repro.batch import BatchRunner, synth_fleet
 from repro.core.options import SolverOptions
+from repro.core.sweep import PROCESS_MIN_ORDER
 from repro.hamiltonian.operator import HamiltonianOperator
 from repro.macromodel.realization import pole_residue_to_simo
 from repro.obs.metrics import get_registry
@@ -330,10 +331,12 @@ def _batch_fleet(scale: float, threads: int) -> StageResult:
 
 
 def _eigensweep_process(scale: float, threads: int) -> StageResult:
-    """The reference model characterized on the serial backend, then on
-    a ``threads``-worker process backend.  No floor: at bench scale the
-    pool's spawn cost can dominate the per-segment solves."""
-    model = _reference_model(scale)
+    """The reference model's family characterized on the serial backend,
+    then on a ``threads``-worker process backend.  No floor: at bench
+    scale the pool's spawn cost can dominate the per-segment solves."""
+    # At least PROCESS_MIN_ORDER, or the process backend runs on threads.
+    num_poles = max(int(40 * scale * 10), -(-PROCESS_MIN_ORDER // PORTS))
+    model = random_macromodel(num_poles, PORTS, seed=777, sigma_target=1.05)
     serial, serial_s = _timed(
         lambda: characterize_passivity(
             model, config=RunConfig(num_threads=1, backend="serial")
@@ -344,10 +347,14 @@ def _eigensweep_process(scale: float, threads: int) -> StageResult:
             model, config=RunConfig(num_threads=threads, backend="process")
         )
     )
+    strategy = pooled.solve.strategy
+    _check(strategy == "process", f"the process backend ran {strategy!r}")
     return StageResult(
         seconds=process_s,
         work=None,
         extra={
+            "order": int(model.order),
+            "strategy": strategy,
             "workers": threads,
             "serial_seconds": serial_s,
             "speedup": serial_s / process_s,

@@ -17,7 +17,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.config import RunConfig, require_scattering
-from repro.core.options import SolverOptions
 from repro.core.results import SolveResult
 from repro.core.solver import solve
 from repro.macromodel.rational import PoleResidueModel
@@ -277,13 +276,7 @@ def _make_band(simo: SimoRealization, lo: float, hi: float) -> ViolationBand:
 
 
 def characterize_passivity(
-    model: ModelLike,
-    *,
-    num_threads: int = 1,
-    strategy: str = "auto",
-    options: Optional[SolverOptions] = None,
-    omega_max: Optional[float] = None,
-    config: Optional[RunConfig] = None,
+    model: ModelLike, config: Optional[RunConfig] = None, **overrides
 ) -> PassivityReport:
     """Run the complete Hamiltonian-based passivity characterization.
 
@@ -292,16 +285,17 @@ def characterize_passivity(
     model:
         Pole/residue model or structured realization (scattering
         representation).
-    num_threads, strategy, options, omega_max:
-        Forwarded to the eigensolver (ignored when ``config`` is given).
     config:
-        A full :class:`~repro.core.config.RunConfig`; when provided it
-        supersedes the individual keyword knobs.  This function is the
-        scattering-domain (``sigma = 1``) test: a config requesting the
-        immittance representation is rejected — use
+        The eigensolver's :class:`~repro.core.config.RunConfig`; defaults
+        apply when omitted.  This function is the scattering-domain
+        (``sigma = 1``) test: a config requesting the immittance
+        representation is rejected — use
         :func:`~repro.passivity.immittance.characterize_immittance_passivity`
         (the :class:`~repro.api.Macromodel` facade dispatches on the
         representation automatically).
+    **overrides:
+        Per-call :class:`~repro.core.config.RunConfig` field overrides,
+        as in :func:`~repro.core.solver.solve`, e.g. ``num_threads=4``.
 
     Returns
     -------
@@ -314,19 +308,12 @@ def characterize_passivity(
     >>> characterize_passivity(model).passive
     True
     """
-    if config is None:
-        config = RunConfig.from_legacy(
-            num_threads=num_threads,
-            strategy=strategy,
-            omega_max=omega_max,
-            options=options,
-        )
-    else:
-        require_scattering(
-            config,
-            "characterize_passivity",
-            hint="use characterize_immittance_passivity for immittance models",
-        )
+    config = (config if config is not None else RunConfig()).merged(**overrides)
+    require_scattering(
+        config,
+        "characterize_passivity",
+        hint="use characterize_immittance_passivity for immittance models",
+    )
     simo = _as_simo(model)
     _obs_metrics().count("eigensweep.runs")
     started = time.perf_counter()

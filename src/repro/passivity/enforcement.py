@@ -33,7 +33,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import RunConfig, require_full_axis, require_scattering
-from repro.core.options import SolverOptions
 from repro.macromodel.poles import partition_poles
 from repro.macromodel.rational import PoleResidueModel
 from repro.obs import trace as _obs_trace
@@ -233,14 +232,13 @@ def _apply_parameters(
 
 def enforce_passivity(
     model: PoleResidueModel,
+    config: Optional[RunConfig] = None,
     *,
     margin: float = 0.002,
     max_iterations: int = 25,
-    num_threads: int = 1,
-    options: Optional[SolverOptions] = None,
     d_max_sigma: float = 0.999,
-    config: Optional[RunConfig] = None,
     initial_report: Optional[PassivityReport] = None,
+    **overrides,
 ) -> EnforcementResult:
     """Perturb residues until the Hamiltonian test certifies passivity.
 
@@ -248,22 +246,18 @@ def enforce_passivity(
     ----------
     model:
         The (possibly non-passive) pole/residue macromodel.
+    config:
+        The :class:`~repro.core.config.RunConfig` of the embedded
+        characterizations; defaults apply when omitted.  Band-limited
+        configs are rejected: the final verdict certifies the whole axis,
+        so an in-band-only check would be unsound.
     margin:
         Target distance below the unit threshold for perturbed peaks
         (peaks are pushed to ``1 - margin``).
     max_iterations:
         Maximum perturbation steps.
-    num_threads:
-        Threads for the embedded Hamiltonian characterizations.
-    options:
-        Eigensolver options.
     d_max_sigma:
         Cap applied to ``sigma(D)`` up front (eq. 4).
-    config:
-        A full :class:`~repro.core.config.RunConfig` for the embedded
-        characterizations; supersedes ``num_threads`` / ``options``.
-        Band-limited configs are rejected: the final verdict certifies
-        the whole axis, so an in-band-only check would be unsound.
     initial_report:
         A :class:`PassivityReport` of ``model`` computed beforehand
         (e.g. by the facade's ``check_passivity``); reused for iteration
@@ -272,6 +266,9 @@ def enforce_passivity(
         shows violations — a passive seed is ignored so that every
         ``passive=True`` verdict this function returns is backed by its
         own full-axis characterization.
+    **overrides:
+        Per-call :class:`~repro.core.config.RunConfig` field overrides,
+        as in :func:`~repro.core.solver.solve`, e.g. ``num_threads=4``.
 
     Returns
     -------
@@ -289,11 +286,9 @@ def enforce_passivity(
     """
     ensure_in_range(margin, "margin", 0.0, 0.5)
     ensure_positive_int(max_iterations, "max_iterations")
-    if config is None:
-        config = RunConfig.from_legacy(num_threads=num_threads, options=options)
-    else:
-        require_scattering(config, "passivity enforcement")
-        require_full_axis(config, "passivity enforcement (a passivity certificate)")
+    config = (config if config is not None else RunConfig()).merged(**overrides)
+    require_scattering(config, "passivity enforcement")
+    require_full_axis(config, "passivity enforcement (a passivity certificate)")
 
     d_clipped = clip_direct_term(model.d, max_sigma=d_max_sigma)
     current = model.with_d(d_clipped)

@@ -19,7 +19,6 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.core.config import RunConfig, require_full_axis, require_scattering
-from repro.core.options import SolverOptions
 from repro.core.solver import solve
 from repro.macromodel.rational import PoleResidueModel
 from repro.macromodel.realization import pole_residue_to_simo
@@ -105,13 +104,12 @@ def _scaled_simo(
 
 def hinf_norm(
     model: Union[PoleResidueModel, SimoRealization],
+    config: Optional[RunConfig] = None,
     *,
     rtol: float = 1e-6,
-    num_threads: int = 1,
-    options: Optional[SolverOptions] = None,
     max_bisections: int = 60,
     grid_points: int = 128,
-    config: Optional[RunConfig] = None,
+    **overrides,
 ) -> HinfResult:
     """Compute ``||H||_inf`` by gamma-bisection with the Hamiltonian oracle.
 
@@ -119,22 +117,21 @@ def hinf_norm(
     ----------
     model:
         Strictly stable macromodel.
+    config:
+        The :class:`~repro.core.config.RunConfig` of the embedded sweeps;
+        defaults apply when omitted.  The ``strategy`` is honored
+        (``"auto"`` resolves per thread count and model order as usual);
+        explicit ``omega_min`` / ``omega_max`` are rejected — the norm is
+        a supremum over the whole axis.
     rtol:
         Relative width of the final bracket.
-    num_threads:
-        Threads for each embedded eigensolver sweep.
-    options:
-        Eigensolver options.
     max_bisections:
         Safety cap on oracle calls.
     grid_points:
         Size of the coarse grid used for the initial lower bound.
-    config:
-        A full :class:`~repro.core.config.RunConfig` for the embedded
-        sweeps; supersedes ``num_threads`` / ``options``.  The
-        ``strategy`` is honored (``"auto"`` resolves per thread count and
-        model order as usual); explicit ``omega_min`` / ``omega_max`` are rejected —
-        the norm is a supremum over the whole axis.
+    **overrides:
+        Per-call :class:`~repro.core.config.RunConfig` field overrides,
+        as in :func:`~repro.core.solver.solve`, e.g. ``num_threads=4``.
 
     Returns
     -------
@@ -149,11 +146,9 @@ def hinf_norm(
     crossings exist at level ``gamma`` iff ``||H||_inf > gamma``.
     """
     ensure_positive_float(rtol, "rtol")
-    if config is None:
-        config = RunConfig.from_legacy(num_threads=num_threads, options=options)
-    else:
-        require_scattering(config, "the H-infinity norm")
-        require_full_axis(config, "the H-infinity norm (a supremum)")
+    config = (config if config is not None else RunConfig()).merged(**overrides)
+    require_scattering(config, "the H-infinity norm")
+    require_full_axis(config, "the H-infinity norm (a supremum)")
     simo = model if isinstance(model, SimoRealization) else pole_residue_to_simo(model)
     if not simo.is_stable():
         raise ValueError("H-infinity norm via Hamiltonian test requires a stable model")

@@ -18,7 +18,6 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.config import RunConfig
-from repro.core.options import SolverOptions
 from repro.core.results import SolveResult
 from repro.core.solver import solve
 from repro.macromodel.rational import PoleResidueModel
@@ -234,13 +233,7 @@ def _refine_trough(
 
 
 def characterize_immittance_passivity(
-    model: ModelLike,
-    *,
-    num_threads: int = 1,
-    strategy: str = "auto",
-    options: Optional[SolverOptions] = None,
-    omega_max: Optional[float] = None,
-    config: Optional[RunConfig] = None,
+    model: ModelLike, config: Optional[RunConfig] = None, **overrides
 ) -> ImmittancePassivityReport:
     """Full algebraic positive-realness characterization.
 
@@ -249,23 +242,19 @@ def characterize_immittance_passivity(
     model:
         Immittance macromodel; ``D + D^T`` must be positive definite (the
         asymptotic condition playing the role of eq. 4).
-    num_threads, strategy, options, omega_max:
-        Forwarded to the eigensolver (ignored when ``config`` is given).
     config:
-        A full :class:`~repro.core.config.RunConfig`; the representation
-        is forced to ``"immittance"``.
+        The eigensolver's :class:`~repro.core.config.RunConfig`; defaults
+        apply when omitted.  The representation is forced to
+        ``"immittance"``.
+    **overrides:
+        Per-call :class:`~repro.core.config.RunConfig` field overrides,
+        as in :func:`~repro.core.solver.solve`, e.g. ``num_threads=4``.
 
     Returns
     -------
     ImmittancePassivityReport
     """
-    if config is None:
-        config = RunConfig.from_legacy(
-            num_threads=num_threads,
-            strategy=strategy,
-            omega_max=omega_max,
-            options=options,
-        )
+    config = (config if config is not None else RunConfig()).merged(**overrides)
     config = config.merged(representation="immittance")
     simo = _as_simo(model)
     result = solve(simo, config)

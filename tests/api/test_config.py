@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import ConfigError, RunConfig, ensure_representation
 from repro.core.options import SolverOptions
+from repro.core.registry import resolve_strategy
 
 
 class TestConstruction:
@@ -146,7 +147,7 @@ class TestFromEnv:
             {"REPRO_BACKEND": "process", "REPRO_NUM_THREADS": "4"}
         )
         assert config.backend == "process"
-        assert config.resolved_strategy() == "process"
+        assert resolve_strategy(config.strategy, 4, backend="process") == "process"
 
 
 class TestConfigError:
@@ -226,16 +227,22 @@ class TestMerged:
 
 
 class TestResolvedStrategy:
+    """The strategy a config runs on a model of unknown order."""
+
+    @staticmethod
+    def resolved(config):
+        return resolve_strategy(
+            config.strategy, config.num_threads, backend=config.backend
+        )
+
     def test_auto_serial(self):
-        assert RunConfig().resolved_strategy() == "bisection"
+        assert self.resolved(RunConfig()) == "bisection"
 
     def test_auto_parallel(self):
-        assert RunConfig(num_threads=4).resolved_strategy() == "queue"
+        assert self.resolved(RunConfig(num_threads=4)) == "queue"
 
     def test_explicit(self):
-        assert (
-            RunConfig(strategy="static", num_threads=2).resolved_strategy() == "static"
-        )
+        assert self.resolved(RunConfig(strategy="static", num_threads=2)) == "static"
 
 
 class TestCacheAxis:

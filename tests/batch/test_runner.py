@@ -12,6 +12,7 @@ from repro.api import Macromodel, RunConfig
 from repro.batch import BatchRunner, FleetReport, SynthJob, synth_fleet
 from repro.batch.jobs import BatchJob, TouchstoneJob
 from repro.batch.runner import _execute_job, JobSettings
+from repro.obs import trace
 
 
 @dataclass(frozen=True)
@@ -157,6 +158,25 @@ class TestProcessBackend:
         # The inner sweep ran on the auto backend (thread queue), not a
         # nested process pool.
         assert result.session["config"]["backend"] == "auto"
+
+    @pytest.mark.parametrize(
+        "spelling", [{"backend": "process"}, {"strategy": "process"}]
+    )
+    def test_no_pool_inside_a_fleet_job(self, spelling):
+        # Order 140, above PROCESS_MIN_ORDER: a nested sweep would fork.
+        job = SynthJob(name="big", order_per_column=70, seed=50)
+        context = trace.TraceContext(trace.new_trace_id(), trace.new_span_id())
+        report = BatchRunner(
+            backend="process",
+            workers=1,
+            config=RunConfig(num_threads=2, **spelling),
+            trace=context.to_dict(),
+        ).run([job])
+        result = report.result("big")
+        assert result.ok, result.error
+        sweeps = [s for s in result.spans if s["name"] == "solve.sweep"]
+        assert [s["attributes"]["strategy"] for s in sweeps] == ["queue"]
+        assert not [s for s in result.spans if s["name"] == "eigensweep.dispatch"]
 
 
 class TestThreadBackend:

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import sweep
 from repro.core.config import RunConfig
 from repro.core.options import SolverOptions
 from repro.core.registry import resolve_strategy
 from repro.core.solver import solve
-from repro.core.sweep import ENV_MIN_ORDER
 from repro.synth import random_macromodel
 
 #: Tight eigenpair tolerance so cross-backend deviations are round-off,
@@ -72,17 +72,11 @@ def test_backend_parity_property(seed, _force_pool_env):
 
 @pytest.fixture(scope="module")
 def _force_pool_env():
-    # hypothesis forbids function-scoped fixtures; a module-scoped env
-    # flip keeps every property example on the true pool path.
-    import os
-
-    old = os.environ.get(ENV_MIN_ORDER)
-    os.environ[ENV_MIN_ORDER] = "1"
-    yield
-    if old is None:
-        os.environ.pop(ENV_MIN_ORDER, None)
-    else:
-        os.environ[ENV_MIN_ORDER] = old
+    # hypothesis forbids function-scoped fixtures; a module-scoped patch
+    # keeps every property example on the true pool path.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "PROCESS_MIN_ORDER", 1)
+        yield
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -91,7 +85,7 @@ def test_backend_parity_with_thread_fallback(seed, monkeypatch):
     and must still match the serial sweep."""
     # Pin the threshold far above the model order: the module-scoped
     # force-pool fixture may still be active from the property test.
-    monkeypatch.setenv(ENV_MIN_ORDER, "1000000")
+    monkeypatch.setattr(sweep, "PROCESS_MIN_ORDER", 1_000_000)
     model = random_macromodel(8, 2, seed=seed, sigma_target=1.05)
     serial = _crossings(model, backend="serial", num_threads=1)
     process = _crossings(model, backend="process", num_threads=4)
@@ -110,35 +104,33 @@ def test_backend_parity_passive_model(seed, _force_pool_env):
 
 class TestBackendResolution:
     def test_auto_backend_preserves_historical_behavior(self):
-        assert RunConfig().resolved_strategy() == "bisection"
-        assert RunConfig(num_threads=4).resolved_strategy() == "queue"
+        assert resolve_strategy("auto", 1) == "bisection"
+        assert resolve_strategy("auto", 4) == "queue"
 
     def test_explicit_backends(self):
-        assert RunConfig(backend="serial").resolved_strategy() == "bisection"
-        assert RunConfig(backend="thread").resolved_strategy() == "queue"
-        assert (
-            RunConfig(backend="thread", num_threads=8).resolved_strategy()
-            == "queue"
-        )
-        assert (
-            RunConfig(backend="process", num_threads=4).resolved_strategy()
-            == "process"
-        )
+        assert resolve_strategy("auto", 1, backend="serial") == "bisection"
+        assert resolve_strategy("auto", 1, backend="thread") == "queue"
+        assert resolve_strategy("auto", 8, backend="thread") == "queue"
+        assert resolve_strategy("auto", 4, backend="process") == "process"
 
     def test_serial_backend_requires_one_thread(self):
         with pytest.raises(ValueError, match="num_threads == 1"):
             resolve_strategy("auto", 4, backend="serial")
+        with pytest.raises(ValueError, match="num_threads == 1"):
+            RunConfig(backend="serial", num_threads=4)
 
     def test_contradictory_strategy_backend_rejected(self):
         with pytest.raises(ValueError, match="backend"):
             resolve_strategy("bisection", 1, backend="process")
         with pytest.raises(ValueError, match="backend"):
             resolve_strategy("static", 4, backend="process")
+        # The config fails where it is built, not at solve time.
+        with pytest.raises(ValueError, match="backend"):
+            RunConfig(strategy="static", backend="process", num_threads=4)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown backend"):
             RunConfig(backend="gpu")
 
     def test_process_strategy_any_backend_auto(self):
-        spec = resolve_strategy("process", 4)
-        assert spec.name == "process"
+        assert resolve_strategy("process", 4) == "process"

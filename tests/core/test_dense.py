@@ -33,31 +33,28 @@ TIGHT = SolverOptions(tol=1e-13)
 
 class TestResolution:
     def test_auto_below_crossover_is_dense(self):
-        spec = resolve_strategy("auto", 1, order=DENSE_MAX_ORDER - 1)
-        assert spec.name == "dense"
+        assert resolve_strategy("auto", 1, order=DENSE_MAX_ORDER - 1) == "dense"
 
     def test_auto_at_crossover_sweeps(self):
-        spec = resolve_strategy("auto", 1, order=DENSE_MAX_ORDER)
-        assert spec.name == "bisection"
+        assert resolve_strategy("auto", 1, order=DENSE_MAX_ORDER) == "bisection"
 
     @pytest.mark.parametrize("threads", [2, 4])
     def test_never_dense_with_threads(self, threads):
-        assert resolve_strategy("auto", threads, order=10).name == "queue"
+        assert resolve_strategy("auto", threads, order=10) == "queue"
 
     @pytest.mark.parametrize(
         "backend,expected",
         [("serial", "bisection"), ("thread", "queue"), ("process", "process")],
     )
     def test_never_dense_with_explicit_backend(self, backend, expected):
-        spec = resolve_strategy("auto", 1, backend=backend, order=10)
-        assert spec.name == expected
+        assert resolve_strategy("auto", 1, backend=backend, order=10) == expected
 
     @pytest.mark.parametrize("name", ["bisection", "queue", "process"])
     def test_never_dense_with_explicit_strategy(self, name):
-        assert resolve_strategy(name, 1, order=10).name == name
+        assert resolve_strategy(name, 1, order=10) == name
 
     def test_explicit_dense_is_single_threaded(self):
-        assert resolve_strategy("dense", 1, backend="serial").name == "dense"
+        assert resolve_strategy("dense", 1, backend="serial") == "dense"
         with pytest.raises(ValueError, match="sequential"):
             resolve_strategy("dense", 2)
         with pytest.raises(ValueError, match="backend"):

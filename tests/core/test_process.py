@@ -10,11 +10,8 @@ import pytest
 from repro.core import sweep
 from repro.core.options import SolverOptions
 from repro.core.solver import solve
-from repro.core.sweep import (
-    ENV_MIN_ORDER,
-    PROCESS_MIN_ORDER,
-    select_process_execution,
-)
+from repro.core.registry import resolve_strategy
+from repro.core.sweep import PROCESS_MIN_ORDER
 from repro.hamiltonian.spectral import imaginary_eigenvalues_dense
 from repro.macromodel.realization import pole_residue_to_simo
 from repro.obs import trace
@@ -40,29 +37,23 @@ def violating_simo():
 @pytest.fixture
 def force_pool(monkeypatch):
     """Force the real process pool even for tiny test models."""
-    monkeypatch.setenv(ENV_MIN_ORDER, "1")
+    monkeypatch.setattr(sweep, "PROCESS_MIN_ORDER", 1)
 
 
 class TestSelectExecution:
+    """How the resolver runs a ``backend="process"`` request."""
+
     def test_single_worker_runs_inline(self):
-        assert select_process_execution(10_000, 1) == "inline"
+        # One worker: the process sweep runs in the caller, at any order.
+        assert resolve_strategy("auto", 1, backend="process", order=10) == "process"
 
     def test_small_model_falls_back_to_threads(self):
-        assert select_process_execution(PROCESS_MIN_ORDER - 1, 4) == "thread"
+        order = PROCESS_MIN_ORDER - 1
+        assert resolve_strategy("auto", 4, backend="process", order=order) == "queue"
 
     def test_large_model_uses_the_pool(self):
-        assert select_process_execution(PROCESS_MIN_ORDER, 4) == "process"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(ENV_MIN_ORDER, "5")
-        assert select_process_execution(5, 4) == "process"
-
-    def test_malformed_env_raises_config_error(self, monkeypatch):
-        from repro.core.config import ConfigError
-
-        monkeypatch.setenv(ENV_MIN_ORDER, "bogus")
-        with pytest.raises(ConfigError, match=ENV_MIN_ORDER):
-            select_process_execution(5, 4)
+        order = PROCESS_MIN_ORDER
+        assert resolve_strategy("process", 4, order=order) == "process"
 
 
 class TestCorrectness:

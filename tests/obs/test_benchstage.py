@@ -114,3 +114,11 @@ def test_service_import_path_leaves_the_table_unloaded():
         check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_eigensweep_process_stage_runs_the_pool():
+    # At the tier's default scale the reference model is below
+    # PROCESS_MIN_ORDER, where the process backend would run on threads.
+    result = benchstage.BENCH_STAGES["eigensweep_process"](0.05, 2)
+    assert result.extra["strategy"] == "process"
+    assert result.extra["max_crossing_diff"] < float("inf")

@@ -129,3 +129,15 @@ class TestErrors:
         assert main(["jobs", "list", "--queue", str(missing)]) == 1
         err = capsys.readouterr().err
         assert "no queue database" in err and str(missing) in err
+
+    def test_reads_resolve_only_the_queue_path(self, queue_path, capsys, monkeypatch):
+        # The lease is a serve/worker knob: a malformed one must not fail
+        # a read of the queue, and serve still rejects it.
+        monkeypatch.setenv("REPRO_QUEUE_LEASE", "bogus")
+        monkeypatch.setenv("REPRO_QUEUE_PATH", str(queue_path))
+        assert main(["jobs", "list", "--json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 3
+        assert main(["trace", "bbb222", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "done"
+        assert main(["serve", "--print-config", "--port", "0"]) == 1
+        assert "REPRO_QUEUE_LEASE" in capsys.readouterr().err
