@@ -10,15 +10,16 @@ Two extensions built on the same parallel Hamiltonian eigensolver:
 2. **Immittance (positive-realness) characterization** (Sec. II: "the
    same derivations can be performed for the impedance, admittance, and
    hybrid cases"): violations are bands where ``H(jw) + H(jw)^H`` loses
-   positive semidefiniteness.
+   positive semidefiniteness.  The same ``characterize_passivity`` runs
+   it when the config names the immittance representation.
 
 Run:  python examples/hinf_and_immittance.py
 """
 
 import numpy as np
 
+from repro.passivity.characterization import characterize_passivity
 from repro.passivity.hinf import hinf_norm
-from repro.passivity.immittance import characterize_immittance_passivity
 from repro.synth import random_macromodel
 
 
@@ -47,12 +48,15 @@ def main() -> None:
     base = random_macromodel(12, 3, seed=22, sigma_target=None)
     impedance = base.with_d(base.d + 1.5 * np.eye(3))  # D + D^T > 0
     print(f"\nimmittance model: {impedance}")
-    report = characterize_immittance_passivity(impedance, num_threads=2)
+    report = characterize_passivity(
+        impedance, representation="immittance", num_threads=2
+    )
     print(report.summary())
     for band in report.bands:
+        # An immittance band's peak is -lambda_min(H + H^H) at its worst point.
         print(
             f"  indefinite band [{band.lo:.4f}, {band.hi:.4f}],"
-            f" min eig {band.min_eig:.4f} at w = {band.trough_freq:.4f}"
+            f" min eig {-band.peak:.4f} at w = {band.peak_freq:.4f}"
         )
 
 

@@ -42,7 +42,7 @@ def main() -> None:
     for band in report.bands:
         print(
             f"  violation band [{band.lo:.4f}, {band.hi:.4f}] rad/s,"
-            f" peak sigma = {band.peak_sigma:.4f} at w = {band.peak_freq:.4f}"
+            f" peak sigma = {band.peak:.4f} at w = {band.peak_freq:.4f}"
         )
 
     if not session.is_passive:

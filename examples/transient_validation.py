@@ -37,7 +37,7 @@ def main() -> None:
     band = max(report.bands, key=lambda b: b.severity)
     print(f"characterization: {report.summary()}")
     print(
-        f"worst violation: sigma = {band.peak_sigma:.4f}"
+        f"worst violation: sigma = {band.peak:.4f}"
         f" at w = {band.peak_freq:.4f} rad/s"
     )
 
@@ -56,7 +56,7 @@ def main() -> None:
     print(
         f"  -> the model returned {100.0 * (before.energy_gain - 1.0):.2f}%"
         f" more energy than it received (sigma^2 would give"
-        f" {band.peak_sigma ** 2:.4f} at steady state)"
+        f" {band.peak ** 2:.4f} at steady state)"
     )
 
     # ------------------------------------------------------------------

@@ -33,11 +33,12 @@ scheduler, its ``static`` ablation and the pooled ``process`` sweep.
 :func:`resolve_strategy` decides which one a config runs.
 :class:`RunConfig` calls it when it is built, so a contradictory config
 such as ``RunConfig(strategy="bisection", num_threads=4)`` raises there.
-:func:`solve` and the passivity functions (:func:`hinf_norm`,
-:func:`characterize_immittance_passivity`, ...) all take
-``config=None, **overrides``::
+:func:`solve` and the passivity functions (:func:`characterize_passivity`,
+:func:`hinf_norm`, ...) all take ``config=None, **overrides``.  The
+config's ``representation`` picks the characterization: the scattering
+test by default, the immittance (Y/Z) test on request::
 
-    report = characterize_immittance_passivity(model, num_threads=4)
+    report = characterize_passivity(model, representation="immittance")
 """
 
 from repro.api import (
@@ -55,13 +56,12 @@ from repro.macromodel.rational import PoleResidueModel
 from repro.macromodel.realization import pole_residue_to_simo
 from repro.macromodel.simo import SimoRealization
 from repro.macromodel.statespace import StateSpace
-from repro.passivity.characterization import PassivityReport
+from repro.passivity.characterization import (
+    PassivityReport,
+    characterize_passivity,
+)
 from repro.passivity.enforcement import EnforcementResult
 from repro.passivity.hinf import HinfResult, hinf_norm
-from repro.passivity.immittance import (
-    ImmittancePassivityReport,
-    characterize_immittance_passivity,
-)
 from repro.store import ResultStore
 from repro.touchstone.reader import read_touchstone
 from repro.touchstone.writer import write_touchstone
@@ -100,11 +100,10 @@ __all__ = [
     "StateSpace",
     "pole_residue_to_simo",
     "PassivityReport",
+    "characterize_passivity",
     "EnforcementResult",
     "HinfResult",
     "hinf_norm",
-    "ImmittancePassivityReport",
-    "characterize_immittance_passivity",
     # File I/O.
     "read_touchstone",
     "write_touchstone",

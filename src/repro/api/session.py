@@ -34,7 +34,7 @@ import numpy as np
 
 from dataclasses import asdict, is_dataclass
 
-from repro.core.config import RunConfig
+from repro.core.config import RunConfig, require_scattering
 from repro.core.results import SolveResult
 from repro.core.solver import solve
 from repro.macromodel.rational import PoleResidueModel
@@ -44,10 +44,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.passivity.characterization import PassivityReport, characterize_passivity
 from repro.passivity.enforcement import EnforcementResult, enforce_passivity
 from repro.passivity.hinf import HinfResult, hinf_norm
-from repro.passivity.immittance import (
-    ImmittancePassivityReport,
-    characterize_immittance_passivity,
-)
 from repro.store import (
     ResultStore,
     array_digest,
@@ -116,7 +112,7 @@ class Macromodel:
         self._data = data
         self._source = source
         self._fit: Optional[FitResult] = None
-        self._report: Optional[Union[PassivityReport, ImmittancePassivityReport]] = None
+        self._report: Optional[PassivityReport] = None
         self._report_model: Optional[ModelLike] = None
         self._report_config: Optional[RunConfig] = None
         self._enforcement: Optional[EnforcementResult] = None
@@ -446,30 +442,19 @@ class Macromodel:
     def check_passivity(self, **overrides: Any) -> "Macromodel":
         """Run the Hamiltonian passivity characterization (Sec. II).
 
-        Dispatches on ``config.representation``: the scattering
+        ``config.representation`` picks the test: the scattering
         (``sigma = 1``) test by default, the immittance
         (positive-realness) test when the config says so.
         """
         config = self._run_config(overrides)
         model = self._require_model()
-        if config.representation == "immittance":
-            stage = "check-immittance"
-
-            def compute():
-                return characterize_immittance_passivity(model, config=config)
-        else:
-            stage = "check"
-
-            def compute():
-                return characterize_passivity(model, config=config)
-
         self._report = self._cached_stage(
-            stage=stage,
+            stage="check",
             config=config,
             digest_fn=self._model_digest,
             params=None,
             key_config=config,
-            compute=compute,
+            compute=lambda: characterize_passivity(model, config=config),
         )
         self._report_model = model
         self._report_config = config
@@ -508,7 +493,7 @@ class Macromodel:
         initial_report = None
         if (
             self._report_model is model
-            and isinstance(self._report, PassivityReport)
+            and self._report.representation == "scattering"
             and self._report_config is not None
             and not self._report_config.is_band_limited
         ):
@@ -612,7 +597,8 @@ class Macromodel:
         shorthand ``"worst-tone"`` — a tone aligned with the top
         singular vector at the worst violation peak of the session's
         passivity report (requires a prior :meth:`check_passivity` that
-        found violations).
+        found violations).  The port-energy witness is defined on
+        scattering waves, so an immittance config is rejected.
 
         Results are kept compact by default (``keep_waveforms=False``),
         which also makes this stage cacheable through the result store;
@@ -623,6 +609,7 @@ class Macromodel:
         from repro.timedomain.terminations import Termination
 
         config = self._run_config(overrides)
+        require_scattering(config, "the transient energy witness")
         model = self._require_model()
         if stimulus == "worst-tone":
             report = self._report
@@ -770,15 +757,9 @@ class Macromodel:
         return self._fit
 
     @property
-    def passivity_report(
-        self,
-    ) -> Optional[Union[PassivityReport, ImmittancePassivityReport]]:
-        """Most recent passivity characterization.
-
-        A :class:`PassivityReport` for the scattering test, an
-        :class:`ImmittancePassivityReport` when the session config asked
-        for the immittance representation.
-        """
+    def passivity_report(self) -> Optional[PassivityReport]:
+        """Most recent passivity characterization (its ``representation``
+        names the test that ran)."""
         return self._report
 
     # Short alias used throughout the docs.

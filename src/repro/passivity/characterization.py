@@ -2,28 +2,36 @@
 
 Pipeline (Sec. II of the paper): run the Hamiltonian eigensolver to get
 the crossing frequencies ``Omega``; the crossings partition the frequency
-axis into segments on which the number of singular values above the unit
-threshold is constant; sampling one interior point per segment classifies
-it, yielding the violation bands.  The asymptotic segment (beyond the
-largest crossing) is always passive thanks to ``sigma(D) < 1`` (eq. 4).
+axis into segments on which the passivity verdict is constant; sampling
+one interior point per segment classifies it, yielding the violation
+bands.  The asymptotic segment (beyond the largest crossing) is always
+passive thanks to the strict asymptotic condition (eq. 4).
+
+Sec. II notes that "the same derivations can be performed for the
+impedance, admittance, and hybrid cases", and one pipeline serves both
+representations that ``config.representation`` names.  The scattering
+test flags ``sigma_max(H(j w)) > 1``; the immittance (positive-realness)
+test flags ``-lambda_min(H(j w) + H(j w)^H) > 0``.  Everything that
+differs between the two lives in one table, :data:`_TESTS`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.config import RunConfig, require_scattering
+from repro.core.config import RunConfig, ensure_representation
 from repro.core.results import SolveResult
 from repro.core.solver import solve
+from repro.hamiltonian.dense import asymptotic_singular_margin
 from repro.macromodel.rational import PoleResidueModel
 from repro.macromodel.realization import pole_residue_to_simo
 from repro.macromodel.simo import SimoRealization
 from repro.obs.metrics import get_registry as _obs_metrics
-from repro.passivity.metrics import refine_peak, sigma_max_many
+from repro.passivity.metrics import hermitian_min_eig, refine_peak, sigma_max
 from repro.utils.serialization import float_array_from_jsonable, to_jsonable
 
 __all__ = [
@@ -36,9 +44,54 @@ __all__ = [
 ModelLike = Union[PoleResidueModel, SimoRealization]
 
 
+class _Test(NamedTuple):
+    """What the scattering and the immittance test do not share."""
+
+    #: The violation metric of ``H(j w)`` (one matrix or a stack of them);
+    #: passivity fails exactly where it exceeds ``threshold``.
+    metric: Callable[[np.ndarray], np.ndarray]
+    threshold: float
+    #: Maps ``D`` to the report's asymptotic margin (None: reports carry none).
+    margin: Optional[Callable[[np.ndarray], float]]
+    #: Payload names of a band's lo, hi, peak frequency, peak value,
+    #: width and severity (None: not serialized), and the sign from the
+    #: metric's peak to the value stored under the fourth name.
+    band_keys: Tuple[Optional[str], ...]
+    sign: float
+    #: Summary wording: the passive verdict, the violating verdict, one band.
+    passive: str
+    violating: str
+    band: str
+
+
+_TESTS = {
+    "scattering": _Test(
+        metric=sigma_max,
+        threshold=1.0,
+        margin=asymptotic_singular_margin,
+        band_keys=("lo", "hi", "peak_freq", "peak_sigma", "width", "severity"),
+        sign=1.0,
+        passive="PASSIVE{scope} (no unit-threshold crossings;"
+        " asymptotic margin {margin:.4f})",
+        violating="NOT passive{scope}: {count} violation band(s): {bands}",
+        band="[{lo:.4g}, {hi:.4g}] peak {peak:.4f}",
+    ),
+    "immittance": _Test(
+        metric=lambda h: -hermitian_min_eig(h),
+        threshold=0.0,
+        margin=None,
+        band_keys=("lo", "hi", "trough_freq", "min_eig", None, "severity"),
+        sign=-1.0,
+        passive="PASSIVE{scope} (H + H^H positive semidefinite on the band)",
+        violating="NOT passive (immittance){scope}: {count} band(s): {bands}",
+        band="[{lo:.4g}, {hi:.4g}] min eig {peak:.4g}",
+    ),
+}
+
+
 @dataclass(frozen=True)
 class ViolationBand:
-    """A frequency band where at least one singular value exceeds 1.
+    """A frequency band where the passivity test's metric exceeds its threshold.
 
     Attributes
     ----------
@@ -46,15 +99,20 @@ class ViolationBand:
         Band edges (crossing frequencies; ``lo`` may be 0.0 when the
         violation starts at DC).
     peak_freq:
-        Frequency of the largest singular value inside the band.
-    peak_sigma:
-        The singular-value maximum attained at ``peak_freq``.
+        Frequency of the worst violation inside the band.
+    peak:
+        The metric's maximum, attained at ``peak_freq``: ``sigma_max``
+        for the scattering test, ``-lambda_min(H + H^H)`` for the
+        immittance test.
+    representation:
+        The test that found the band.
     """
 
     lo: float
     hi: float
     peak_freq: float
-    peak_sigma: float
+    peak: float
+    representation: str = "scattering"
 
     @property
     def width(self) -> float:
@@ -63,30 +121,32 @@ class ViolationBand:
 
     @property
     def severity(self) -> float:
-        """How far the peak exceeds the threshold (``peak_sigma - 1``)."""
-        return self.peak_sigma - 1.0
+        """How far the peak exceeds the threshold (``sigma_max - 1`` or
+        ``-lambda_min``)."""
+        return self.peak - _TESTS[self.representation].threshold
 
     def to_dict(self) -> dict:
-        """JSON-serializable dictionary of this violation band."""
-        return {
-            "lo": float(self.lo),
-            "hi": float(self.hi),
-            "peak_freq": float(self.peak_freq),
-            "peak_sigma": float(self.peak_sigma),
-            "width": float(self.width),
-            "severity": float(self.severity),
-        }
+        """JSON-serializable dictionary, under the representation's names."""
+        test = _TESTS[self.representation]
+        values = (
+            self.lo,
+            self.hi,
+            self.peak_freq,
+            test.sign * self.peak,
+            self.width,
+            self.severity,
+        )
+        return {key: float(v) for key, v in zip(test.band_keys, values) if key}
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "ViolationBand":
+    def from_dict(
+        cls, payload: dict, representation: str = "scattering"
+    ) -> "ViolationBand":
         """Rebuild a band from a :meth:`to_dict` payload (derived fields
         like ``width``/``severity`` are recomputed, not read back)."""
-        return cls(
-            lo=float(payload["lo"]),
-            hi=float(payload["hi"]),
-            peak_freq=float(payload["peak_freq"]),
-            peak_sigma=float(payload["peak_sigma"]),
-        )
+        test = _TESTS[representation]
+        lo, hi, freq, peak = (float(payload[key]) for key in test.band_keys[:4])
+        return cls(lo, hi, freq, test.sign * peak, representation)
 
 
 @dataclass(frozen=True)
@@ -107,7 +167,8 @@ class PassivityReport:
     bands:
         The violation bands (empty when passive).
     asymptotic_margin:
-        ``1 - sigma_max(D)`` — must be positive for the test to apply.
+        ``1 - sigma_max(D)`` for the scattering test — must be positive
+        for the test to apply; None for the immittance test.
     solve:
         The underlying eigensolver result (work counters, shifts, ...),
         or None when crossings were supplied externally.
@@ -115,18 +176,21 @@ class PassivityReport:
         True when the characterization swept a user-restricted band
         (``omega_min > 0`` or an explicit ``omega_max``), so ``passive``
         is an in-band statement, not a whole-axis certificate.
+    representation:
+        The test that ran: ``"scattering"`` or ``"immittance"``.
     """
 
     passive: bool
     crossings: np.ndarray
     bands: Tuple[ViolationBand, ...]
-    asymptotic_margin: float
+    asymptotic_margin: Optional[float]
     solve: Optional[SolveResult]
     band_limited: bool = False
+    representation: str = "scattering"
 
     @property
     def worst_violation(self) -> float:
-        """Largest ``sigma_max - 1`` over all bands (0.0 when passive)."""
+        """Largest band severity (0.0 when passive)."""
         if not self.bands:
             return 0.0
         return max(band.severity for band in self.bands)
@@ -141,13 +205,15 @@ class PassivityReport:
             aggregate work counters are always present when available.
         """
         payload = {
+            "representation": self.representation,
             "passive": bool(self.passive),
             "band_limited": bool(self.band_limited),
             "crossings": to_jsonable(self.crossings),
             "bands": [band.to_dict() for band in self.bands],
-            "asymptotic_margin": float(self.asymptotic_margin),
-            "worst_violation": float(self.worst_violation),
         }
+        if self.asymptotic_margin is not None:
+            payload["asymptotic_margin"] = float(self.asymptotic_margin)
+        payload["worst_violation"] = float(self.worst_violation)
         if self.solve is not None:
             payload["work"] = {str(k): int(v) for k, v in self.solve.work.items()}
             if include_solve:
@@ -163,21 +229,30 @@ class PassivityReport:
         same state as a report built from externally supplied crossings).
         The result store persists the ``include_solve=True`` form so a
         cache hit is indistinguishable from a fresh characterization.
+        A payload without a ``representation`` key is a scattering report.
         """
+        representation = payload.get("representation", "scattering")
         solve = payload.get("solve")
         return cls(
             passive=bool(payload["passive"]),
             crossings=float_array_from_jsonable(payload["crossings"]),
             bands=tuple(
-                ViolationBand.from_dict(band) for band in payload.get("bands", [])
+                ViolationBand.from_dict(band, representation)
+                for band in payload.get("bands", [])
             ),
-            asymptotic_margin=float(payload["asymptotic_margin"]),
+            asymptotic_margin=(
+                float(payload["asymptotic_margin"])
+                if _TESTS[representation].margin
+                else None
+            ),
             solve=SolveResult.from_dict(solve) if solve is not None else None,
             band_limited=bool(payload.get("band_limited", False)),
+            representation=representation,
         )
 
     def summary(self) -> str:
         """One-line human-readable summary."""
+        test = _TESTS[self.representation]
         scope = ""
         if self.band_limited and self.solve is not None:
             scope = (
@@ -187,14 +262,12 @@ class PassivityReport:
         elif self.band_limited:
             scope = " in the swept band only"
         if self.passive:
-            return (
-                f"PASSIVE{scope} (no unit-threshold crossings;"
-                f" asymptotic margin {self.asymptotic_margin:.4f})"
-            )
-        spans = ", ".join(
-            f"[{b.lo:.4g}, {b.hi:.4g}] peak {b.peak_sigma:.4f}" for b in self.bands
+            return test.passive.format(scope=scope, margin=self.asymptotic_margin)
+        bands = ", ".join(
+            test.band.format(lo=b.lo, hi=b.hi, peak=test.sign * b.peak)
+            for b in self.bands
         )
-        return f"NOT passive{scope}: {len(self.bands)} violation band(s): {spans}"
+        return test.violating.format(scope=scope, count=len(self.bands), bands=bands)
 
 
 def _as_simo(model: ModelLike) -> SimoRealization:
@@ -213,14 +286,14 @@ def violation_bands_from_crossings(
     *,
     omega_min: float = 0.0,
     omega_max: Optional[float] = None,
-    threshold: float = 1.0,
+    representation: str = "scattering",
 ) -> List[ViolationBand]:
     """Classify the segments between crossings and extract violation bands.
 
     Parameters
     ----------
     model:
-        The macromodel (used for singular-value sampling).
+        The macromodel (used for metric sampling).
     crossings:
         Sorted non-negative crossing frequencies.
     omega_min:
@@ -230,16 +303,18 @@ def violation_bands_from_crossings(
         Upper edge for the last finite segment; defaults to
         ``1.5 * max(crossings)`` (the asymptotic tail is passive by eq. 4
         and never classified as violating).
-    threshold:
-        Singular-value threshold (1.0 for scattering passivity).
+    representation:
+        The test whose metric classifies the segments (``"scattering"``
+        or ``"immittance"``).
 
     Returns
     -------
     list of ViolationBand
-        Bands where the sampled midpoint exceeds the threshold, each with
-        its refined interior peak.
+        Bands where the sampled midpoint violates, each with its refined
+        interior peak.
     """
     simo = _as_simo(model)
+    test = _TESTS[ensure_representation(representation)]
     crossings = np.sort(np.asarray(list(crossings), dtype=float))
     if crossings.size == 0:
         return []
@@ -250,29 +325,35 @@ def violation_bands_from_crossings(
     if top > edges[-1]:
         edges.append(top)
 
-    bands: List[ViolationBand] = []
-    # One batched sigma sweep classifies every segment midpoint at once.
     segments = [(lo, hi) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
-    mid_sigmas = sigma_max_many(simo, [0.5 * (lo + hi) for lo, hi in segments])
+    if not segments:
+        return []
+    # One batched metric sweep classifies every segment midpoint at once.
+    mids = test.metric(
+        simo.frequency_response([0.5 * (lo + hi) for lo, hi in segments])
+    )
+    bands: List[ViolationBand] = []
     current_lo: Optional[float] = None
-    for (lo, hi), sigma_mid in zip(segments, mid_sigmas):
-        if sigma_mid > threshold:
+    for (lo, hi), value in zip(segments, mids):
+        if value > test.threshold:
             if current_lo is None:
                 current_lo = lo
         else:
             if current_lo is not None:
-                bands.append(_make_band(simo, current_lo, lo))
+                bands.append(_make_band(simo, current_lo, lo, representation))
                 current_lo = None
     if current_lo is not None:
-        bands.append(_make_band(simo, current_lo, edges[-1]))
+        bands.append(_make_band(simo, current_lo, edges[-1], representation))
     return bands
 
 
-def _make_band(simo: SimoRealization, lo: float, hi: float) -> ViolationBand:
-    peak_freq, peak_sigma = refine_peak(simo, lo, hi)
-    return ViolationBand(
-        lo=float(lo), hi=float(hi), peak_freq=peak_freq, peak_sigma=peak_sigma
+def _make_band(
+    simo: SimoRealization, lo: float, hi: float, representation: str
+) -> ViolationBand:
+    peak_freq, peak = refine_peak(
+        simo, lo, hi, metric=_TESTS[representation].metric
     )
+    return ViolationBand(float(lo), float(hi), peak_freq, peak, representation)
 
 
 def characterize_passivity(
@@ -283,19 +364,17 @@ def characterize_passivity(
     Parameters
     ----------
     model:
-        Pole/residue model or structured realization (scattering
-        representation).
+        Pole/residue model or structured realization.
     config:
         The eigensolver's :class:`~repro.core.config.RunConfig`; defaults
-        apply when omitted.  This function is the scattering-domain
-        (``sigma = 1``) test: a config requesting the immittance
-        representation is rejected — use
-        :func:`~repro.passivity.immittance.characterize_immittance_passivity`
-        (the :class:`~repro.api.Macromodel` facade dispatches on the
-        representation automatically).
+        apply when omitted.  Its ``representation`` picks the test: the
+        scattering (``sigma = 1``) test by default, or the immittance
+        (positive-realness) test, which needs ``D + D^T`` positive
+        definite (the asymptotic condition playing the role of eq. 4).
     **overrides:
         Per-call :class:`~repro.core.config.RunConfig` field overrides,
-        as in :func:`~repro.core.solver.solve`, e.g. ``num_threads=4``.
+        as in :func:`~repro.core.solver.solve`, e.g. ``num_threads=4`` or
+        ``representation="immittance"``.
 
     Returns
     -------
@@ -309,11 +388,6 @@ def characterize_passivity(
     True
     """
     config = (config if config is not None else RunConfig()).merged(**overrides)
-    require_scattering(
-        config,
-        "characterize_passivity",
-        hint="use characterize_immittance_passivity for immittance models",
-    )
     simo = _as_simo(model)
     _obs_metrics().count("eigensweep.runs")
     started = time.perf_counter()
@@ -321,18 +395,20 @@ def characterize_passivity(
         result = solve(simo, config)
     finally:
         _obs_metrics().observe("eigensweep.solve", time.perf_counter() - started)
-    margin = 1.0 - float(np.linalg.norm(simo.d, 2)) if simo.d.size else 1.0
     bands = violation_bands_from_crossings(
         simo,
         result.omegas,
         omega_min=result.band[0],
         omega_max=result.band[1],
+        representation=config.representation,
     )
+    margin = _TESTS[config.representation].margin
     return PassivityReport(
         passive=len(bands) == 0,
         crossings=result.omegas,
         bands=tuple(bands),
-        asymptotic_margin=margin,
+        asymptotic_margin=margin(simo.d) if margin else None,
         solve=result,
         band_limited=config.is_band_limited,
+        representation=config.representation,
     )

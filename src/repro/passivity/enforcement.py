@@ -192,7 +192,7 @@ def _peak_constraints(
             row[offset + p * p : offset + 2 * p * p] = coeff_im.ravel()
             offset += 2 * p * p
         rows.append(row)
-        rhs.append((1.0 - margin) - band.peak_sigma)
+        rhs.append((1.0 - margin) - band.peak)
     return np.asarray(rows), np.asarray(rhs)
 
 

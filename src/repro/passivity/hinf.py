@@ -14,15 +14,14 @@ turns the "sigma crosses gamma" test into the library's native
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.core.config import RunConfig, require_full_axis, require_scattering
 from repro.core.solver import solve
-from repro.macromodel.rational import PoleResidueModel
-from repro.macromodel.realization import pole_residue_to_simo
 from repro.macromodel.simo import SimoColumn, SimoRealization
+from repro.passivity.characterization import ModelLike, _as_simo
 from repro.utils.validation import ensure_positive_float
 
 __all__ = ["HinfResult", "hinf_norm"]
@@ -77,33 +76,22 @@ class HinfResult:
         )
 
 
-def _scaled_simo(
-    model: Union[PoleResidueModel, SimoRealization], gamma: float
-) -> SimoRealization:
+def _scaled_simo(simo: SimoRealization, gamma: float) -> SimoRealization:
     """Return the realization of ``H / gamma``."""
-    if isinstance(model, PoleResidueModel):
-        scaled = PoleResidueModel(
-            model.poles.copy(), model.residues / gamma, model.d / gamma
+    columns = [
+        SimoColumn(
+            col.real_poles,
+            col.real_residues / gamma,
+            col.pair_poles,
+            col.pair_residues / gamma,
         )
-        return pole_residue_to_simo(scaled)
-    if isinstance(model, SimoRealization):
-        columns = [
-            SimoColumn(
-                col.real_poles,
-                col.real_residues / gamma,
-                col.pair_poles,
-                col.pair_residues / gamma,
-            )
-            for col in model.columns
-        ]
-        return SimoRealization(columns, model.d / gamma)
-    raise TypeError(
-        f"expected PoleResidueModel or SimoRealization, got {type(model).__name__}"
-    )
+        for col in simo.columns
+    ]
+    return SimoRealization(columns, simo.d / gamma)
 
 
 def hinf_norm(
-    model: Union[PoleResidueModel, SimoRealization],
+    model: ModelLike,
     config: Optional[RunConfig] = None,
     *,
     rtol: float = 1e-6,
@@ -149,7 +137,7 @@ def hinf_norm(
     config = (config if config is not None else RunConfig()).merged(**overrides)
     require_scattering(config, "the H-infinity norm")
     require_full_axis(config, "the H-infinity norm (a supremum)")
-    simo = model if isinstance(model, SimoRealization) else pole_residue_to_simo(model)
+    simo = _as_simo(model)
     if not simo.is_stable():
         raise ValueError("H-infinity norm via Hamiltonian test requires a stable model")
 

@@ -5,15 +5,17 @@ evaluate singular values on a frequency grid and compare against the unit
 threshold.  They remain useful as cross-validation in tests and as the
 peak-refinement primitive inside violation bands.
 
-All grid sweeps here are *batched*: one multi-shift ``transfer_many``
-evaluation followed by one stacked ``numpy.linalg.svd`` over the
-``(K, p, p)`` response array — O(K n p + K p^3) with no per-point Python
-loop.
+The two violation metrics, :func:`sigma_max` (scattering) and
+:func:`hermitian_min_eig` (immittance), act on one response matrix or on
+a ``(K, p, p)`` stack of them.  All grid sweeps here are *batched*: one
+multi-shift ``transfer_many`` evaluation followed by one stacked
+decomposition of the response array — O(K n p + K p^3) with no per-point
+Python loop.
 """
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -22,6 +24,8 @@ from repro.macromodel.simo import SimoRealization
 from repro.utils.validation import ensure_sorted_frequencies
 
 __all__ = [
+    "sigma_max",
+    "hermitian_min_eig",
     "sigma_max_many",
     "singular_values_on_grid",
     "peak_singular_value_on_grid",
@@ -30,6 +34,16 @@ __all__ = [
 ]
 
 ModelLike = Union[PoleResidueModel, SimoRealization]
+
+
+def sigma_max(h: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in ``h`` (shape ``(..., p, p)``)."""
+    return np.linalg.svd(h, compute_uv=False)[..., 0]
+
+
+def hermitian_min_eig(h: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of ``h + h^H`` for each matrix in ``h``."""
+    return np.linalg.eigvalsh(h + np.conj(np.swapaxes(h, -1, -2)))[..., 0]
 
 
 def sigma_max_many(model: ModelLike, omegas) -> np.ndarray:
@@ -43,8 +57,7 @@ def sigma_max_many(model: ModelLike, omegas) -> np.ndarray:
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     if omegas.size == 0:
         return np.empty(0, dtype=float)
-    responses = model.transfer_many(1j * omegas)
-    return np.linalg.svd(responses, compute_uv=False)[:, 0]
+    return sigma_max(model.transfer_many(1j * omegas))
 
 
 def singular_values_on_grid(model: ModelLike, freqs_rad) -> np.ndarray:
@@ -73,23 +86,27 @@ def refine_peak(
     lo: float,
     hi: float,
     *,
+    metric: Callable[[np.ndarray], np.ndarray] = sigma_max,
     coarse_points: int = 33,
     iterations: int = 40,
 ) -> Tuple[float, float]:
-    """Locate the maximum of ``sigma_max(H(j w))`` inside ``[lo, hi]``.
+    """Locate the maximum of ``metric(H(j w))`` inside ``[lo, hi]``.
 
-    Batched coarse grid scan (one stacked SVD) followed by golden-section
-    refinement around the best sample.  Returns ``(omega_peak, sigma_peak)``.
+    ``metric`` maps one response matrix, or a stack of them, to the
+    quantity to maximize: :func:`sigma_max` by default, the negated
+    :func:`hermitian_min_eig` for the immittance test.  Batched coarse
+    grid scan (one stacked decomposition) followed by golden-section
+    refinement around the best sample.  Returns ``(omega_peak,
+    metric_peak)``.
     """
     if hi <= lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
 
-    def sigma_max(w: float) -> float:
-        h = model.transfer(1j * w)
-        return float(np.linalg.svd(h, compute_uv=False)[0])
+    def at(w: float) -> float:
+        return float(metric(model.transfer(1j * w)))
 
     grid = np.linspace(lo, hi, max(3, coarse_points))
-    values = sigma_max_many(model, grid)
+    values = metric(model.transfer_many(1j * grid))
     best = int(np.argmax(values))
     a = grid[max(0, best - 1)]
     b = grid[min(len(grid) - 1, best + 1)]
@@ -99,16 +116,16 @@ def refine_peak(
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc, fd = (float(v) for v in sigma_max_many(model, [c, d]))
+    fc, fd = (float(v) for v in metric(model.transfer_many(1j * np.array([c, d]))))
     for _ in range(iterations):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
-            fc = sigma_max(c)
+            fc = at(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
-            fd = sigma_max(d)
+            fd = at(d)
         if b - a < 1e-12 * max(1.0, abs(b)):
             break
     w_peak = c if fc > fd else d

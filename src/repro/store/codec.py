@@ -17,7 +17,6 @@ from repro.core.results import SolveResult
 from repro.passivity.characterization import PassivityReport
 from repro.passivity.enforcement import EnforcementResult
 from repro.passivity.hinf import HinfResult
-from repro.passivity.immittance import ImmittancePassivityReport
 from repro.timedomain.engine import SimulationResult
 from repro.vectfit.vector_fitting import FitResult
 
@@ -33,10 +32,6 @@ STAGES: Dict[str, Tuple[Callable[[Any], dict], Callable[[dict], Any]]] = {
     "check": (
         lambda result: result.to_dict(include_solve=True),
         PassivityReport.from_dict,
-    ),
-    "check-immittance": (
-        lambda result: result.to_dict(include_solve=True),
-        ImmittancePassivityReport.from_dict,
     ),
     "enforce": (
         lambda result: result.to_dict(include_model=True, include_solve=True),

@@ -9,7 +9,6 @@ from repro.core.solver import solve
 from repro.passivity.characterization import characterize_passivity
 from repro.passivity.enforcement import enforce_passivity
 from repro.passivity.hinf import hinf_norm
-from repro.passivity.immittance import characterize_immittance_passivity
 from repro.synth import random_macromodel
 from repro.utils.serialization import to_jsonable
 from repro.vectfit.vector_fitting import vector_fit
@@ -100,22 +99,13 @@ class TestHinfResult:
         assert isinstance(payload["bisections"], int)
 
 
-class TestRepresentationGuards:
-    def test_characterize_passivity_rejects_immittance_config(self, model):
-        from repro.core.config import RunConfig
-
-        with pytest.raises(ValueError, match="representation"):
-            characterize_passivity(
-                model, config=RunConfig(representation="immittance")
-            )
-
-
 class TestImmittanceReport:
     def test_to_dict_round_trips(self):
         model = random_macromodel(8, 2, seed=11, sigma_target=0.5)
         shifted = model.with_d(model.d + 2.0 * np.eye(2))
-        report = characterize_immittance_passivity(shifted)
+        report = characterize_passivity(shifted, representation="immittance")
         payload = round_trip(report.to_dict())
+        assert payload["representation"] == "immittance"
         assert isinstance(payload["passive"], bool)
         assert isinstance(payload["crossings"], list)
         assert payload["band_limited"] is False
@@ -125,12 +115,26 @@ class TestImmittanceReport:
 
         model = random_macromodel(8, 2, seed=11, sigma_target=0.5)
         shifted = model.with_d(model.d + 2.0 * np.eye(2))
-        report = characterize_immittance_passivity(
+        report = characterize_passivity(
             shifted, config=RunConfig(representation="immittance", omega_max=2.0)
         )
         assert report.band_limited
         assert "in band" in report.summary()
         assert round_trip(report.to_dict())["band_limited"] is True
+
+    def test_from_dict_restores_the_report(self):
+        from repro.passivity.characterization import PassivityReport
+
+        model = random_macromodel(10, 3, seed=44, sigma_target=None)
+        shifted = model.with_d(model.d + 1.2 * np.eye(3))
+        report = characterize_passivity(shifted, representation="immittance")
+        assert report.bands
+        payload = round_trip(report.to_dict(include_solve=True))
+        rebuilt = PassivityReport.from_dict(payload)
+        assert rebuilt.representation == "immittance"
+        assert rebuilt.bands == report.bands
+        assert rebuilt.summary() == report.summary()
+        assert rebuilt.to_dict(include_solve=True) == payload
 
 
 class TestFitResult:

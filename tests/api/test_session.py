@@ -42,8 +42,6 @@ class TestConstructors:
     def test_from_touchstone_y_parameters_default_to_immittance(
         self, tmp_path
     ):
-        from repro.passivity.immittance import ImmittancePassivityReport
-
         model = random_macromodel(8, 2, seed=11, sigma_target=0.5)
         shifted = model.with_d(model.d + 2.0 * np.eye(2))
         freqs = np.linspace(0.05, 14.0, 200)
@@ -57,7 +55,7 @@ class TestConstructors:
         session = Macromodel.from_touchstone(path)
         assert session.config.representation == "immittance"
         session.fit(num_poles=8).check_passivity()
-        assert isinstance(session.passivity_report, ImmittancePassivityReport)
+        assert session.passivity_report.representation == "immittance"
 
     def test_export_preserves_parameter_type(self, tmp_path):
         model = random_macromodel(8, 2, seed=11, sigma_target=0.5)
@@ -146,14 +144,13 @@ class TestPipeline:
         assert session.hinf_result.norm == pytest.approx(1.04, abs=0.01)
 
     def test_immittance_config_dispatches(self):
-        from repro.passivity.immittance import ImmittancePassivityReport
-
         model = random_macromodel(8, 2, seed=11, sigma_target=0.5)
         shifted = model.with_d(model.d + 2.0 * np.eye(2))
         session = Macromodel.from_pole_residue(
             shifted, config=RunConfig(representation="immittance")
         ).check_passivity()
-        assert isinstance(session.passivity_report, ImmittancePassivityReport)
+        assert session.passivity_report.representation == "immittance"
+        assert "H + H^H" in session.passivity_report.summary()
         assert isinstance(session.is_passive, bool)
         assert "passive" in session.to_dict()["passivity"]
 
@@ -241,6 +238,10 @@ class TestPipeline:
             session.enforce()
         with pytest.raises(ValueError, match="representation"):
             session.hinf()
+        with pytest.raises(ValueError, match="representation"):
+            session.simulate()
+        with pytest.raises(ValueError, match="representation"):
+            session.simulate("worst-tone")
 
     def test_find_crossings(self, device):
         session = Macromodel.from_pole_residue(device).find_crossings(num_threads=2)

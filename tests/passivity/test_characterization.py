@@ -48,9 +48,9 @@ class TestCharacterize:
     def test_band_peaks_above_one(self, violating):
         report = characterize_passivity(violating)
         for band in report.bands:
-            assert band.peak_sigma > 1.0
+            assert band.peak > 1.0
             assert band.lo <= band.peak_freq <= band.hi
-            assert band.severity == pytest.approx(band.peak_sigma - 1.0)
+            assert band.severity == pytest.approx(band.peak - 1.0)
 
     def test_interior_of_band_violates(self, violating):
         simo = pole_residue_to_simo(violating)
@@ -96,3 +96,9 @@ class TestViolationBandsFromCrossings:
         report = characterize_passivity(violating)
         bands = violation_bands_from_crossings(violating, report.crossings)
         assert len(bands) == len(report.bands)
+
+    def test_unknown_representation_rejected(self, violating):
+        with pytest.raises(ValueError, match="representation"):
+            violation_bands_from_crossings(
+                violating, [1.0], representation="hybrid"
+            )

@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from repro.api import Macromodel
 from repro.core.config import RunConfig
 from repro.macromodel.realization import pole_residue_to_simo
-from repro.store import STAGES, ResultStore, decode_result, encode_result
+from repro.store import (
+    STAGES,
+    STORE_SCHEMA_VERSION,
+    ResultStore,
+    content_key,
+    decode_result,
+    encode_result,
+    result_key,
+)
 from repro.synth.generator import random_macromodel
 
 
@@ -58,6 +66,43 @@ class TestCheckCaching:
         session = Macromodel.from_pole_residue(model, config=config)
         session.check_passivity()
         assert session.cache_stats["hits"] == 1
+
+    def test_entry_without_representation_reads_as_scattering_hit(
+        self, tmp_path, model
+    ):
+        # Check entries written before reports named their test carry no
+        # "representation" key; every such entry is a scattering report.
+        assert STORE_SCHEMA_VERSION == 2
+        config = _rw(tmp_path)
+        fresh = Macromodel.from_pole_residue(model).check_passivity()
+        payload = encode_result("check", fresh.passivity_report)
+        del payload["representation"]
+        key = result_key(
+            stage="check", input_digest=content_key(model.to_dict()), config=config
+        )
+        assert ResultStore(tmp_path).put(key, payload, stage="check")
+
+        session = Macromodel.from_pole_residue(model, config=config)
+        session.check_passivity()
+        assert session.cache_stats == {"hits": 1, "misses": 0, "writes": 0}
+        report = session.passivity_report
+        assert report.representation == "scattering"
+        assert report.summary() == fresh.passivity_report.summary()
+        assert _dump(report.to_dict()) == _dump(fresh.passivity_report.to_dict())
+
+    def test_immittance_check_is_a_check_hit(self, tmp_path, model):
+        shifted = model.with_d(model.d + 1.2 * np.eye(2))
+        config = _rw(tmp_path, representation="immittance")
+        first = Macromodel.from_pole_residue(shifted, config=config)
+        first.check_passivity()
+        assert first.metrics.snapshot()["timings"]["stage.check"]["count"] == 1
+        second = Macromodel.from_pole_residue(shifted, config=config)
+        second.check_passivity()
+        assert second.cache_stats == {"hits": 1, "misses": 0, "writes": 0}
+        assert second.passivity_report.representation == "immittance"
+        assert _dump(second.passivity_report.to_dict()) == _dump(
+            first.passivity_report.to_dict()
+        )
 
     def test_different_config_is_a_miss(self, tmp_path, model):
         Macromodel.from_pole_residue(model, config=_rw(tmp_path)).check_passivity()
