@@ -7,6 +7,11 @@ any stage slowed down by more than the threshold (default 25%).  Stages
 faster than the noise floor (default 50 ms) in *both* runs are reported
 but never fail the gate — interpreter jitter dominates below that.
 
+It also gates each stage's ``work`` dict (Arnoldi steps, operator
+applies, shifts, transfer evaluations, time steps, ...) *exactly*: a
+counter that differs from the baseline's fails the gate, whatever the
+host.  A stage with no work dict on either side is skipped.
+
 The gate is **tier-aware**.  ``run.py`` writes schema
 ``repro-bench-pipeline/3``; the tracked baseline is still schema/2, and
 the gate reads both alike.  Payloads without a ``tier`` field —
@@ -37,8 +42,9 @@ CI wires this into the ``bench-smoke`` (serial tier) and
 ``[bench-skip]`` bypass the gate (escape hatch for runs on known-noisy
 runners or intentional trade-offs — say why in the commit).
 
-Exit codes: 0 — no regression; 1 — at least one stage regressed or
-missed its speedup floor; 2 — the payloads could not be compared
+Exit codes: 0 — no regression; 1 — at least one stage regressed, did
+different work, or missed its speedup floor; 2 — the payloads could not
+be compared
 (missing file/stage, or zero comparable stages for the current tier).
 """
 
@@ -202,6 +208,45 @@ def _timings(payload: dict) -> Dict[str, float]:
     return timings
 
 
+@dataclass(frozen=True)
+class WorkDiff:
+    """One work counter whose value differs from the baseline's."""
+
+    stage: str
+    counter: str
+    baseline: Optional[int]
+    current: Optional[int]
+
+    @property
+    def name(self) -> str:
+        return f"{self.stage}.{self.counter}"
+
+    def format_row(self) -> str:
+        return f"WORK  {self.name:<36} {self.baseline} -> {self.current}"
+
+
+def work_diffs(baseline: dict, current: dict) -> List[WorkDiff]:
+    """Counters that differ between the work dicts of the stages present
+    in both payloads; a stage with no work dict on either side is
+    skipped, and a counter absent on one side reads ``None`` there."""
+    current_work = {
+        stage.get("name"): stage.get("work") or {}
+        for stage in current.get("stages", [])
+    }
+    diffs: List[WorkDiff] = []
+    for stage in baseline.get("stages", []):
+        name = stage.get("name")
+        if name not in current_work:
+            continue
+        base, cur = stage.get("work") or {}, current_work[name]
+        for counter in sorted(set(base) | set(cur)):
+            if base.get(counter) != cur.get(counter):
+                diffs.append(
+                    WorkDiff(str(name), counter, base.get(counter), cur.get(counter))
+                )
+    return diffs
+
+
 def fleet_gate_skip_reason(
     current: dict, cpu_count: Optional[int] = None
 ) -> Optional[str]:
@@ -303,7 +348,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     same_tier = base_tier == cur_tier
     diffs: List[StageDiff] = []
     missing: List[str] = []
+    work_changes: List[WorkDiff] = []
     if same_tier:
+        work_changes = work_diffs(baseline, current)
         try:
             diffs, missing = compare_payloads(
                 baseline,
@@ -336,6 +383,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(diff.format_row())
     for name in missing:
         print(f"GONE  {name:<24} present in baseline, absent from current run")
+    for change in work_changes:
+        print(change.format_row())
 
     floors = speedup_floors(current)
     floors_reason = floor_skip_reason(current) if floors else None
@@ -370,7 +419,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    if regressions or floor_failures:
+    if regressions or floor_failures or work_changes:
+        if work_changes:
+            print(
+                f"{len(work_changes)} work counter(s) differ from the"
+                " baseline: " + ", ".join(change.name for change in work_changes),
+                file=sys.stderr,
+            )
         if regressions:
             print(
                 f"{len(regressions)} stage(s) regressed beyond"

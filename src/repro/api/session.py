@@ -65,16 +65,22 @@ __all__ = ["Macromodel"]
 ModelLike = Union[PoleResidueModel, SimoRealization]
 
 
+def representation_for(parameter: str) -> str:
+    """The passivity test a parameter type calls for: the scattering
+    test for S-parameter data, the immittance test for anything else
+    (Y/Z/hybrid)."""
+    return "scattering" if parameter.upper() == "S" else "immittance"
+
+
 def _config_for_parameter(
     parameter: str, config: Optional[RunConfig], source: str
 ) -> RunConfig:
     """Resolve the session config against the data's parameter type.
 
-    S-parameter data defaults to the scattering test, anything else
-    (Y/Z/hybrid) to the immittance test.  An explicit config wins, with a
-    warning when it contradicts the data.
+    The data picks the default (:func:`representation_for`).  An
+    explicit config wins, with a warning when it contradicts the data.
     """
-    data_rep = "scattering" if parameter.upper() == "S" else "immittance"
+    data_rep = representation_for(parameter)
     if config is None:
         return RunConfig(representation=data_rep)
     if config.representation != data_rep:

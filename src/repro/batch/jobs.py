@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
 
-from repro.api.session import Macromodel
+from repro.api.session import Macromodel, representation_for
 from repro.core.config import RunConfig
 from repro.macromodel.rational import PoleResidueModel
 from repro.macromodel.simo import SimoRealization
+from repro.touchstone.reader import read_parameter
 
 __all__ = [
     "BatchJob",
@@ -98,6 +99,15 @@ class BatchJob:
         """Open the model source as a session (runs inside the worker)."""
         raise NotImplementedError
 
+    def source_config(self, config: RunConfig) -> RunConfig:
+        """``config`` with the representation this job's source implies.
+
+        A fleet or service config whose representation nobody named is
+        layered the way ``repro check`` layers a file: the source picks
+        the representation.  Only a Touchstone file implies one.
+        """
+        return config
+
     @property
     def needs_fit(self) -> bool:
         """True when the session starts from samples (fit stage required)."""
@@ -116,6 +126,14 @@ class TouchstoneJob(BatchJob):
 
     def open_session(self, config: Optional[RunConfig]) -> Macromodel:
         return Macromodel.from_touchstone(self.path, config=config)
+
+    def source_config(self, config: RunConfig) -> RunConfig:
+        """The file's parameter type picks the representation (S:
+        scattering, Y/Z: immittance)."""
+        representation = representation_for(read_parameter(self.path))
+        if representation == config.representation:
+            return config
+        return config.merged(representation=representation)
 
     def describe(self) -> dict:
         return {"kind": "touchstone", "name": self.name, "path": self.path}

@@ -69,6 +69,9 @@ class JobSettings:
     """Pipeline parameters shared by every job of a fleet run."""
 
     config: Optional[RunConfig] = None
+    #: True when ``config.representation`` was named and so wins over
+    #: what a job's source implies (a Touchstone file's parameter type).
+    representation_named: bool = False
     num_poles: int = 30
     enforce: bool = False
     margin: float = 0.002
@@ -333,6 +336,8 @@ def _run_pipeline(job: BatchJob, settings: JobSettings) -> JobResult:
         # No pools inside pools: the fleet already owns the cores.
         config = config.merged(strategy="auto", backend="auto")
     try:
+        if config is not None and not settings.representation_named:
+            config = job.source_config(config)
         session = job.open_session(config)
         if job.needs_fit:
             session.fit(num_poles=settings.num_poles)
@@ -415,7 +420,13 @@ class BatchRunner:
     ----------
     config:
         Solver :class:`~repro.core.config.RunConfig` applied to every
-        job's session (per-job sources may refine it).
+        job's session.  A Touchstone job's file picks the representation
+        (S: scattering, Y/Z: immittance) unless ``representation_named``.
+    representation_named:
+        True when ``config.representation`` was named (a flag,
+        ``REPRO_REPRESENTATION``, a job spec's ``config``): it then wins
+        over every file's parameter type, with a warning where they
+        disagree.
     workers:
         Maximum concurrent jobs; defaults to ``os.cpu_count()`` capped
         at 8.
@@ -456,6 +467,7 @@ class BatchRunner:
         self,
         *,
         config: Optional[RunConfig] = None,
+        representation_named: bool = False,
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         backend: str = "process",
@@ -477,6 +489,7 @@ class BatchRunner:
         self.backend = backend
         self.settings = JobSettings(
             config=config,
+            representation_named=bool(representation_named),
             num_poles=ensure_positive_int(num_poles, "num_poles"),
             enforce=bool(enforce),
             margin=float(margin),

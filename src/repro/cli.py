@@ -62,7 +62,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.api import Macromodel, available_strategies
-from repro.core.config import CACHE_MODES, RunConfig
+from repro.core.config import CACHE_MODES, ENV_PREFIX, RunConfig
 from repro.core.registry import AUTO_DESCRIPTION, BACKENDS, STRATEGIES
 from repro.hamiltonian.operator import REPRESENTATIONS
 
@@ -155,6 +155,19 @@ def build_parser() -> argparse.ArgumentParser:
             help="print the machine-readable session payload",
         )
         add_cache_args(p)
+
+    def add_fleet_representation_arg(p):
+        p.add_argument(
+            "--representation",
+            default=None,
+            choices=REPRESENTATIONS,
+            action=_TrackedStore,
+            help=(
+                "transfer representation of every job (default: from each"
+                " Touchstone file's parameter type — S: scattering, Y/Z:"
+                " immittance; scattering for other sources)"
+            ),
+        )
 
     def add_cache_args(p):
         p.add_argument(
@@ -415,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the machine-readable fleet report",
     )
+    add_fleet_representation_arg(batch)
     add_cache_args(batch)
 
     cache = sub.add_parser(
@@ -483,6 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-store mode (default: readwrite — the service exists"
         " to absorb repeated traffic)",
     )
+    add_fleet_representation_arg(serve)
     add_queue_path_args(serve)
     add_queue_knob_args(serve)
     serve.add_argument(
@@ -730,6 +745,15 @@ def _session_config(args, base: Optional[RunConfig] = None) -> RunConfig:
     return config.merged(**overrides) if overrides else config
 
 
+def _representation_named(args) -> bool:
+    """True when a flag or ``REPRO_REPRESENTATION`` names the
+    representation, which then wins over a Touchstone file's parameter
+    type; otherwise each file picks it, as in :func:`_fit_session`."""
+    return "representation" in getattr(args, "_explicit", set()) or bool(
+        os.environ.get(ENV_PREFIX + "REPRESENTATION", "").strip()
+    )
+
+
 def _fit_session(args, *, scattering_only: bool = False) -> Macromodel:
     # Opening the file first lets its parameter type (S vs Y/Z) choose
     # the default representation; env vars and flags layer on top.
@@ -975,6 +999,7 @@ def _cmd_batch(args) -> int:
         )
     runner = BatchRunner(
         config=_session_config(args),
+        representation_named=_representation_named(args),
         workers=args.workers,
         timeout=args.timeout,
         backend=args.backend,
@@ -1069,8 +1094,11 @@ def _cmd_serve(args) -> int:
         overrides["cache"] = args.cache
     if "cache_dir" in explicit:
         overrides["cache_dir"] = args.cache_dir
+    if "representation" in explicit:
+        overrides["representation"] = args.representation
     if overrides:
         config = config.merged(**overrides)
+    representation_named = _representation_named(args)
     queue_config = _queue_config(args)
     if args.print_config:
         # Describing the configuration needs no socket: it must work
@@ -1080,6 +1108,7 @@ def _cmd_serve(args) -> int:
 
         manager = JobManager(
             config=config,
+            representation_named=representation_named,
             workers=args.workers,
             timeout=args.timeout,
             backend=args.backend,
@@ -1098,6 +1127,7 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         config=config,
+        representation_named=representation_named,
         workers=args.workers,
         timeout=args.timeout,
         backend=args.backend,

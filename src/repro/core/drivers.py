@@ -18,7 +18,7 @@ from repro.core.results import ShiftRecord, SolveResult
 from repro.core.single_shift import estimate_spectral_bound
 from repro.hamiltonian.operator import HamiltonianOperator
 from repro.macromodel.rational import PoleResidueModel
-from repro.macromodel.realization import pole_residue_to_simo
+from repro.macromodel.realization import as_simo
 from repro.macromodel.simo import SimoRealization
 from repro.utils.rng import RandomStream
 from repro.utils.timing import WorkCounter
@@ -38,15 +38,7 @@ def prepare_operator(
     model: ModelInput, representation: str
 ) -> Tuple[SimoRealization, HamiltonianOperator, WorkCounter]:
     """Normalize the model input and build the instrumented operator."""
-    if isinstance(model, PoleResidueModel):
-        simo = pole_residue_to_simo(model)
-    elif isinstance(model, SimoRealization):
-        simo = model
-    else:
-        raise TypeError(
-            "model must be a PoleResidueModel or SimoRealization,"
-            f" got {type(model).__name__}"
-        )
+    simo = as_simo(model)
     if simo.order == 0:
         raise ValueError("cannot characterize a zero-order model")
     if not simo.is_stable():

@@ -19,6 +19,7 @@ from repro.macromodel.poles import (
 )
 from repro.macromodel.rational import PoleResidueModel
 from repro.macromodel.realization import (
+    as_simo,
     pole_residue_to_simo,
     realize_column,
     simo_from_columns,
@@ -38,4 +39,5 @@ __all__ = [
     "realize_column",
     "simo_from_columns",
     "pole_residue_to_simo",
+    "as_simo",
 ]

@@ -8,7 +8,7 @@ applying the real 2x2 transformation of ref. [9] to complex pole pairs.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -17,7 +17,12 @@ from repro.macromodel.rational import PoleResidueModel
 from repro.macromodel.simo import SimoColumn, SimoRealization
 from repro.utils.validation import ensure_matrix, ensure_vector
 
-__all__ = ["realize_column", "simo_from_columns", "pole_residue_to_simo"]
+__all__ = [
+    "realize_column",
+    "simo_from_columns",
+    "pole_residue_to_simo",
+    "as_simo",
+]
 
 
 def realize_column(poles, residues) -> SimoColumn:
@@ -128,3 +133,22 @@ def pole_residue_to_simo(model: PoleResidueModel) -> SimoRealization:
         for k in range(model.num_ports)
     ]
     return SimoRealization(columns, model.d)
+
+
+def as_simo(model: Union[PoleResidueModel, SimoRealization]) -> SimoRealization:
+    """The structured realization of a model input: the one normalizer of
+    every solver and passivity entry point.
+
+    Raises
+    ------
+    TypeError
+        When ``model`` is neither a :class:`PoleResidueModel` nor a
+        :class:`SimoRealization`.
+    """
+    if isinstance(model, PoleResidueModel):
+        return pole_residue_to_simo(model)
+    if isinstance(model, SimoRealization):
+        return model
+    raise TypeError(
+        f"expected PoleResidueModel or SimoRealization, got {type(model).__name__}"
+    )

@@ -28,7 +28,7 @@ from repro.core.results import SolveResult
 from repro.core.solver import solve
 from repro.hamiltonian.dense import asymptotic_singular_margin
 from repro.macromodel.rational import PoleResidueModel
-from repro.macromodel.realization import pole_residue_to_simo
+from repro.macromodel.realization import as_simo
 from repro.macromodel.simo import SimoRealization
 from repro.obs.metrics import get_registry as _obs_metrics
 from repro.passivity.metrics import hermitian_min_eig, refine_peak, sigma_max
@@ -270,16 +270,6 @@ class PassivityReport:
         return test.violating.format(scope=scope, count=len(self.bands), bands=bands)
 
 
-def _as_simo(model: ModelLike) -> SimoRealization:
-    if isinstance(model, PoleResidueModel):
-        return pole_residue_to_simo(model)
-    if isinstance(model, SimoRealization):
-        return model
-    raise TypeError(
-        f"expected PoleResidueModel or SimoRealization, got {type(model).__name__}"
-    )
-
-
 def violation_bands_from_crossings(
     model: ModelLike,
     crossings: Sequence[float],
@@ -313,7 +303,7 @@ def violation_bands_from_crossings(
         Bands where the sampled midpoint violates, each with its refined
         interior peak.
     """
-    simo = _as_simo(model)
+    simo = as_simo(model)
     test = _TESTS[ensure_representation(representation)]
     crossings = np.sort(np.asarray(list(crossings), dtype=float))
     if crossings.size == 0:
@@ -388,7 +378,7 @@ def characterize_passivity(
     True
     """
     config = (config if config is not None else RunConfig()).merged(**overrides)
-    simo = _as_simo(model)
+    simo = as_simo(model)
     _obs_metrics().count("eigensweep.runs")
     started = time.perf_counter()
     try:

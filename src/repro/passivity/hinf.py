@@ -20,8 +20,9 @@ import numpy as np
 
 from repro.core.config import RunConfig, require_full_axis, require_scattering
 from repro.core.solver import solve
+from repro.macromodel.realization import as_simo
 from repro.macromodel.simo import SimoColumn, SimoRealization
-from repro.passivity.characterization import ModelLike, _as_simo
+from repro.passivity.characterization import ModelLike
 from repro.utils.validation import ensure_positive_float
 
 __all__ = ["HinfResult", "hinf_norm"]
@@ -137,7 +138,7 @@ def hinf_norm(
     config = (config if config is not None else RunConfig()).merged(**overrides)
     require_scattering(config, "the H-infinity norm")
     require_full_axis(config, "the H-infinity norm (a supremum)")
-    simo = _as_simo(model)
+    simo = as_simo(model)
     if not simo.is_stable():
         raise ValueError("H-infinity norm via Hamiltonian test requires a stable model")
 

@@ -187,9 +187,11 @@ class ParsedSpec:
         return doc
 
     def runner_kwargs(self) -> dict:
-        """Keyword arguments of the ``BatchRunner`` executing this job."""
+        """Keyword arguments of the ``BatchRunner`` executing this job
+        (whose config is resolved, representation included)."""
         return dict(
             config=self.config,
+            representation_named=True,
             num_poles=self.num_poles,
             margin=self.margin,
             simulate_params=self.sim_params,
@@ -204,8 +206,16 @@ def parse_spec(
     num_poles: int = 30,
     margin: float = 0.002,
     job_id: str = "",
+    representation_named: bool = False,
 ) -> ParsedSpec:
     """Validate one job spec against a base configuration.
+
+    A Touchstone job's file picks the representation (S: scattering,
+    Y/Z: immittance), as ``repro check`` does, unless the spec's
+    ``config`` names one or ``representation_named`` says the base
+    config's representation was named (``repro serve --representation``,
+    ``REPRO_REPRESENTATION``).  The resolved representation is part of
+    the job key and of :meth:`ParsedSpec.resolved_spec`.
 
     Raises
     ------
@@ -240,6 +250,12 @@ def parse_spec(
             config = base_config.merged(**dict(overrides))
         except (TypeError, ValueError) as exc:
             raise JobError(f"invalid config override: {exc}") from exc
+    if not representation_named and "representation" not in (overrides or {}):
+        try:
+            config = job.source_config(config)
+        except (OSError, ValueError):
+            # An unreadable file fails the job where it is opened.
+            pass
 
     resolved_poles = ensure_positive_int(
         spec.get("num_poles", num_poles), "num_poles"

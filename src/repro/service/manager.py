@@ -82,6 +82,10 @@ class JobManager:
         ``"config"`` object merges on top).  Its ``cache`` mode governs
         both the stage-level store use inside workers and the job-level
         short-circuit at submission time.
+    representation_named:
+        True when ``config.representation`` was named (``repro serve
+        --representation``, ``REPRO_REPRESENTATION``); otherwise a
+        Touchstone job's file picks it (see :func:`parse_spec`).
     workers:
         Embedded worker threads draining the queue from inside this
         process.  ``0`` is valid and makes the service a pure front-end
@@ -106,6 +110,7 @@ class JobManager:
         self,
         *,
         config: Optional[RunConfig] = None,
+        representation_named: bool = False,
         workers: int = 2,
         timeout: Optional[float] = None,
         backend: str = "process",
@@ -119,6 +124,7 @@ class JobManager:
         # than discovering it deep inside a request handler.
         _faults_init_from_env()
         self.config = config if config is not None else RunConfig()
+        self.representation_named = bool(representation_named)
         self.workers = int(workers)
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -200,6 +206,7 @@ class JobManager:
             num_poles=self.num_poles,
             margin=self.margin,
             job_id=job_id,
+            representation_named=self.representation_named,
         )
 
         # The short-circuit honors the *effective* config: a submission

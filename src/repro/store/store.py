@@ -4,6 +4,7 @@ Layout (one directory per store)::
 
     <root>/
       index.json              # advisory index: key -> {size, stage, created}
+      size.json               # running byte total of the entries (capped stores)
       objects/<k[:2]>/<key>.json   # one JSON envelope per entry
 
 Entries are written atomically (temp file in the destination directory +
@@ -20,6 +21,22 @@ never corrupt the store.
 
 Eviction is LRU by file mtime (touched on every hit) against a byte-size
 cap (``max_bytes``; ``REPRO_CACHE_MAX_BYTES``; 0 disables the cap).
+
+Cost model: a put does no work proportional to the store's size.  A
+capped put reads the running byte total in ``size.json``, adds its own
+bytes and writes it back in place, all under an exclusive ``flock`` of
+that file, so writers in other processes (every job child included)
+count toward one total and no increment is lost.  Only when the total
+would pass the cap does a put run an eviction pass, which scans every
+entry (O(entries)) and evicts down to 7/8 of the cap, so passes are
+spaced by an eighth of the cap's bytes.  Every authoritative scan
+re-trues the sidecar: the eviction pass, :meth:`ResultStore.stats`,
+:meth:`ResultStore.prune` and :meth:`ResultStore.clear`.  A missing or
+unreadable sidecar costs one scan; an uncapped instance never touches
+it.  Index updates stay pending in memory until a flush loads, merges
+and rewrites ``index.json`` (on every update while the index file is
+small, every :data:`_INDEX_FLUSH_EVERY` updates after that), so a
+short-lived instance on a large store never parses the index.
 """
 
 from __future__ import annotations
@@ -29,8 +46,14 @@ import os
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts run unlocked
+    fcntl = None
 
 from repro.faults import init_from_env as _faults_init_from_env
 from repro.faults import inject as _inject
@@ -60,13 +83,15 @@ def _transient_io(exc: BaseException) -> bool:
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 
 _INDEX_NAME = "index.json"
+_SIZE_NAME = "size.json"
 _OBJECTS_DIR = "objects"
 
-#: Large stores flush the advisory index at most every this many writes
-#: (small stores flush every write — the dump is cheap there), keeping a
-#: burst of N puts O(N) instead of O(N^2) in index serialization.
+#: A large index is flushed at most every this many pending updates (an
+#: index file of at most ``_INDEX_FLUSH_SMALL_BYTES``, about 64 entries,
+#: on every update — the merge is cheap there), keeping a burst of N
+#: puts O(N) instead of O(N^2) in index serialization.
 _INDEX_FLUSH_EVERY = 16
-_INDEX_FLUSH_SMALL = 64
+_INDEX_FLUSH_SMALL_BYTES = 8 * 1024
 
 
 def default_cache_dir() -> Path:
@@ -155,13 +180,8 @@ class ResultStore:
         # *successful* I/O round trip; only real errno failures count.
         self._failures = 0
         self._last_error: Optional[str] = None
-        # Running byte estimate so a put() under the cap never has to
-        # stat the whole store; seeded lazily from one scan, re-trued on
-        # every eviction pass.  Other processes' writes are invisible to
-        # it, which only delays (never prevents) an eviction pass.
-        self._approx_bytes: Optional[int] = None
-        self._index_cache: Optional[Dict[str, dict]] = None
-        self._index_dirty = 0
+        # Index updates not yet merged into index.json (None = removed).
+        self._pending: Dict[str, Optional[dict]] = {}
         self.counters: Dict[str, int] = {
             "hits": 0,
             "misses": 0,
@@ -193,6 +213,9 @@ class ResultStore:
 
     def _index_path(self) -> Path:
         return self.root / _INDEX_NAME
+
+    def _size_path(self) -> Path:
+        return self.root / _SIZE_NAME
 
     # -- reads --------------------------------------------------------------
 
@@ -365,15 +388,12 @@ class ResultStore:
                     }
                 }
             )
-            if self.max_bytes is not None:
-                if self._approx_bytes is None:
-                    self._approx_bytes = sum(
-                        size for _k, _p, size, _m in self._scan()
-                    )
-                else:
-                    self._approx_bytes += len(data)
-                if self._approx_bytes > self.max_bytes:
-                    self._evict_locked(self.max_bytes)
+            if self.max_bytes is not None and not self._add_to_total(len(data)):
+                # One authoritative pass: it evicts only when the scan
+                # confirms the store is over the cap.
+                self._evict_locked(
+                    self.max_bytes, target=self.max_bytes - self.max_bytes // 8
+                )
         return True
 
     def _discard(self, path: Path, *, corrupt: bool = False) -> None:
@@ -431,6 +451,54 @@ class ResultStore:
             self._note_ok()
         return self.health()
 
+    # -- running size -------------------------------------------------------
+
+    @contextmanager
+    def _size_file(self) -> Iterator[int]:
+        """The sidecar's descriptor, held under an exclusive lock."""
+        fd = os.open(self._size_path(), os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            yield fd
+        finally:
+            os.close(fd)
+
+    @staticmethod
+    def _write_total(fd: int, total: int) -> None:
+        data = json.dumps({"total_bytes": int(total)}).encode("utf-8")
+        os.pwrite(fd, data, 0)
+        os.ftruncate(fd, len(data))
+
+    def _add_to_total(self, size: int) -> bool:
+        """Add ``size`` to the sidecar's total unless that would pass the
+        cap; False when it would, or when the sidecar is missing or
+        unreadable (the caller then runs an eviction pass)."""
+        try:
+            with self._size_file() as fd:
+                total = json.loads(os.pread(fd, 4096, 0))["total_bytes"]
+                if not isinstance(total, int) or total < 0:
+                    return False
+                if total + size > self.max_bytes:
+                    return False
+                self._write_total(fd, total + size)
+                return True
+        except (OSError, ValueError, TypeError, KeyError):
+            return False
+
+    def _retrue(self, entries: List[Tuple[str, Path, int, float]]) -> int:
+        """Byte total of an authoritative scan, written to the sidecar
+        when this instance is capped (a failed write only costs a later
+        scan)."""
+        total = sum(size for _k, _p, size, _m in entries)
+        if self.max_bytes is not None:
+            try:
+                with self._size_file() as fd:
+                    self._write_total(fd, total)
+            except OSError:
+                pass
+        return total
+
     # -- index --------------------------------------------------------------
 
     def _load_index(self) -> Dict[str, dict]:
@@ -444,16 +512,19 @@ class ResultStore:
         return entries if isinstance(entries, dict) else {}
 
     def _index_entries(self) -> Dict[str, dict]:
-        """This instance's working copy of the index (loaded once).
+        """The index on disk with this instance's pending updates merged.
 
-        Kept in memory between puts so the hot path never re-reads the
-        file; concurrent writers in other processes may make it stale,
-        which is fine — the index is advisory and rebuilt from a scan
-        wherever correctness matters.
+        Concurrent writers in other processes may make it stale, which
+        is fine — the index is advisory and rebuilt from a scan wherever
+        correctness matters.
         """
-        if self._index_cache is None:
-            self._index_cache = self._load_index()
-        return self._index_cache
+        entries = self._load_index()
+        for key, value in self._pending.items():
+            if value is None:
+                entries.pop(key, None)
+            else:
+                entries[key] = value
+        return entries
 
     def _write_index(self, entries: Dict[str, dict]) -> None:
         payload = {"schema": self.schema, "entries": entries}
@@ -463,29 +534,30 @@ class ResultStore:
                 dir=str(self.root), prefix=".index-", suffix=".tmp"
             )
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
+                # dumps, not dump: only the one-shot encoder is the C one.
+                handle.write(json.dumps(payload, sort_keys=True))
             os.replace(tmp_name, self._index_path())
         except OSError:
             # The index is advisory; a failed update only costs a rebuild.
             pass
 
+    def _index_is_small(self) -> bool:
+        try:
+            return self._index_path().stat().st_size <= _INDEX_FLUSH_SMALL_BYTES
+        except OSError:
+            return True  # missing: the flush writes a fresh index
+
     def _update_index(
         self, updates: Dict[str, Optional[dict]], *, flush: bool = False
     ) -> None:
-        entries = self._index_entries()
-        for key, value in updates.items():
-            if value is None:
-                entries.pop(key, None)
-            else:
-                entries[key] = value
-        self._index_dirty += 1
+        self._pending.update(updates)
         if (
             flush
-            or len(entries) <= _INDEX_FLUSH_SMALL
-            or self._index_dirty >= _INDEX_FLUSH_EVERY
+            or len(self._pending) >= _INDEX_FLUSH_EVERY
+            or self._index_is_small()
         ):
-            self._write_index(entries)
-            self._index_dirty = 0
+            self._write_index(self._index_entries())
+            self._pending = {}
 
     def rebuild_index(self) -> int:
         """Rebuild ``index.json`` from a directory scan; returns the
@@ -495,7 +567,7 @@ class ResultStore:
                 key: {"size": size, "stage": None, "created": mtime}
                 for key, _path, size, mtime in self._scan()
             }
-            self._index_cache = entries
+            self._pending = {}
             self._write_index(entries)
             return len(entries)
 
@@ -518,23 +590,29 @@ class ResultStore:
                 found.append((path.stem, path, int(stat.st_size), stat.st_mtime))
         return found
 
-    def _evict_locked(self, max_bytes: Optional[int]) -> int:
+    def _evict_locked(
+        self, max_bytes: Optional[int], *, target: Optional[int] = None
+    ) -> int:
+        """Evict LRU entries down to ``target`` (default ``max_bytes``)
+        when the store holds more than ``max_bytes``."""
         if max_bytes is None:
             return 0
         entries = self._scan()
         total = sum(size for _k, _p, size, _m in entries)
+        target = max_bytes if target is None else target
         removed = 0
         index_updates: Dict[str, Optional[dict]] = {}
         if total > max_bytes:
-            for key, path, size, _mtime in sorted(entries, key=lambda e: e[3]):
-                if total <= max_bytes:
+            entries = sorted(entries, key=lambda e: e[3])
+            for key, path, size, _mtime in entries:
+                if total <= target:
                     break
                 self._discard(path)
                 index_updates[key] = None
                 total -= size
                 removed += 1
-        # The scan was authoritative either way: re-true the estimate.
-        self._approx_bytes = total
+        # The scan was authoritative either way: re-true the sidecar.
+        self._retrue(entries[removed:])
         if index_updates:
             self.counters["evictions"] += removed
             self._update_index(index_updates, flush=True)
@@ -552,10 +630,11 @@ class ResultStore:
         with self._lock:
             removed = self._evict_locked(cap)
             entries = self._scan()
+            total = self._retrue(entries)
         return {
             "removed": removed,
             "entries": len(entries),
-            "total_bytes": sum(size for _k, _p, size, _m in entries),
+            "total_bytes": total,
             "max_bytes": cap,
         }
 
@@ -569,21 +648,24 @@ class ResultStore:
                 self._index_path().unlink()
             except OSError:
                 pass
-            self._approx_bytes = 0
-            self._index_cache = {}
+            self._pending = {}
+            self._retrue(self._scan())
             return len(entries)
 
     def stats(self) -> dict:
         """Store statistics from an authoritative directory scan.
 
-        Entry and byte counts come from the scan; the per-stage labels
-        come from the advisory index, whose flush is amortized on large
-        stores — entries another process wrote very recently may show
-        under stage ``None`` there.
+        Entry and byte counts come from the scan, which also re-trues
+        the running-size sidecar; the per-stage labels come from the
+        advisory index, whose flush is amortized on large stores —
+        entries another process wrote very recently may show under stage
+        ``None`` there.
         """
         entries = self._scan()
+        total = self._retrue(entries)
+        with self._lock:
+            index = self._index_entries()
         stages: Dict[str, int] = {}
-        index = self._index_entries()
         for key, _path, _size, _mtime in entries:
             stage = (index.get(key) or {}).get("stage")
             stages[str(stage)] = stages.get(str(stage), 0) + 1
@@ -591,7 +673,7 @@ class ResultStore:
             "root": str(self.root),
             "schema": self.schema,
             "entries": len(entries),
-            "total_bytes": sum(size for _k, _p, size, _m in entries),
+            "total_bytes": total,
             "max_bytes": self.max_bytes,
             "stages": stages,
             "counters": dict(self.counters),

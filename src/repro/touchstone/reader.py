@@ -21,11 +21,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-__all__ = ["TouchstoneData", "parse_touchstone", "read_touchstone"]
+__all__ = [
+    "TouchstoneData",
+    "parse_touchstone",
+    "read_parameter",
+    "read_touchstone",
+]
 
 _UNIT_SCALE = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 _PARAMETERS = ("S", "Y", "Z", "G", "H")
@@ -87,6 +92,38 @@ def _convert(values: np.ndarray, fmt: str) -> np.ndarray:
     raise ValueError(f"unknown number format {fmt!r}")
 
 
+def _parse_option_line(line: str) -> Tuple[str, str, str, float]:
+    """``(unit, parameter, format, z0)`` of a ``#`` option line, with the
+    specification's defaults for the fields it omits."""
+    unit, parameter, fmt, z0 = "GHZ", "S", "MA", 50.0
+    tokens = line[1:].upper().split()
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if tok in _UNIT_SCALE:
+            unit = tok
+        elif tok in _PARAMETERS:
+            parameter = tok
+        elif tok in _FORMATS:
+            fmt = tok
+        elif tok == "R":
+            if i + 1 >= len(tokens):
+                raise ValueError("option line: 'R' without a resistance value")
+            z0 = float(tokens[i + 1])
+            i += 1
+        else:
+            raise ValueError(f"option line: unknown token {tok!r}")
+        i += 1
+    return unit, parameter, fmt, z0
+
+
+def _comment_free_lines(lines: Iterable[str]) -> Iterator[str]:
+    for raw_line in lines:
+        line = raw_line.split("!", 1)[0].strip()
+        if line:
+            yield line
+
+
 def parse_touchstone(text: str, *, num_ports: Optional[int] = None) -> TouchstoneData:
     """Parse Touchstone file contents.
 
@@ -105,40 +142,17 @@ def parse_touchstone(text: str, *, num_ports: Optional[int] = None) -> Touchston
         On malformed option lines, inconsistent record lengths, or
         unsupported constructs.
     """
-    unit = "GHZ"
-    parameter = "S"
-    fmt = "MA"
-    z0 = 50.0
+    unit, parameter, fmt, z0 = _parse_option_line("#")
     saw_option = False
 
     numbers: List[float] = []
-    for raw_line in text.splitlines():
-        line = raw_line.split("!", 1)[0].strip()
-        if not line:
-            continue
+    for line in _comment_free_lines(text.splitlines()):
         if line.startswith("#"):
             if saw_option:
                 # The v1 spec allows only one option line; ignore repeats.
                 continue
             saw_option = True
-            tokens = line[1:].upper().split()
-            i = 0
-            while i < len(tokens):
-                tok = tokens[i]
-                if tok in _UNIT_SCALE:
-                    unit = tok
-                elif tok in _PARAMETERS:
-                    parameter = tok
-                elif tok in _FORMATS:
-                    fmt = tok
-                elif tok == "R":
-                    if i + 1 >= len(tokens):
-                        raise ValueError("option line: 'R' without a resistance value")
-                    z0 = float(tokens[i + 1])
-                    i += 1
-                else:
-                    raise ValueError(f"option line: unknown token {tok!r}")
-                i += 1
+            unit, parameter, fmt, z0 = _parse_option_line(line)
             continue
         if line.startswith("["):
             raise ValueError(
@@ -195,6 +209,22 @@ def _infer_ports(data: np.ndarray) -> int:
         if k == 1 or np.all(np.diff(freqs) > 0):
             return p
     raise ValueError("could not infer the port count from the data layout")
+
+
+def read_parameter(path: Union[str, Path]) -> str:
+    """The parameter type (``S``, ``Y``, ``Z``, ...) a Touchstone file's
+    option line declares, read without parsing its data.
+
+    Raises
+    ------
+    ValueError
+        On a malformed option line, as :func:`read_touchstone` would.
+    """
+    with open(path, "r") as handle:
+        for line in _comment_free_lines(handle):
+            if line.startswith("#"):
+                return _parse_option_line(line)[1]
+    return _parse_option_line("#")[1]
 
 
 def read_touchstone(

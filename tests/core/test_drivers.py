@@ -59,6 +59,20 @@ class TestPrepareOperator:
         with pytest.raises(TypeError):
             prepare_operator(np.eye(2), "scattering")
 
+    @pytest.mark.parametrize("strategy", ["auto", "bisection"])
+    def test_one_wrong_type_message_across_entry_points(self, strategy):
+        """solve, characterize_passivity and hinf_norm share one normalizer."""
+        from repro import characterize_passivity, hinf_norm, solve
+
+        messages = set()
+        for entry in (solve, characterize_passivity, hinf_norm):
+            with pytest.raises(TypeError) as info:
+                entry(np.eye(2), strategy=strategy)
+            messages.add(str(info.value))
+        assert messages == {
+            "expected PoleResidueModel or SimoRealization, got ndarray"
+        }
+
     def test_unstable_rejected(self):
         from repro.macromodel.rational import PoleResidueModel
 

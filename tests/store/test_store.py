@@ -1,6 +1,7 @@
 """ResultStore behavior: hits, misses, eviction, corruption, concurrency."""
 
 import json
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -207,7 +208,29 @@ def _thread_writer(args):
     return True
 
 
+def _sidecar_adder(root):
+    """Add 1 to the running total for one second; returns the adds made."""
+    store = ResultStore(root, max_bytes=1 << 30)
+    deadline = time.monotonic() + 1.0
+    adds = 0
+    while time.monotonic() < deadline:
+        assert store._add_to_total(1)
+        adds += 1
+    return adds
+
+
 class TestConcurrency:
+    def test_concurrent_writers_lose_no_sidecar_update(self, tmp_path):
+        """More writer processes than cores: every increment is counted."""
+        ResultStore(tmp_path, max_bytes=1 << 30).stats()  # sidecar at 0
+        context = multiprocessing.get_context("spawn")
+        try:
+            with ProcessPoolExecutor(max_workers=4, mp_context=context) as pool:
+                results = list(pool.map(_sidecar_adder, [tmp_path] * 4, timeout=120))
+        except OSError as exc:  # pragma: no cover - constrained hosts
+            pytest.skip(f"process pool unavailable: {exc}")
+        assert _sidecar(tmp_path) == sum(results) > 0
+
     def test_many_threads_shared_instance(self, tmp_path):
         store = ResultStore(tmp_path)
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -253,3 +276,177 @@ class TestConcurrency:
         for tag in range(4):
             for i in range(5):
                 assert store.get(_key(f"{tag}-{i}")) is not None
+
+
+def _fill_directly(root, count):
+    """Write ``count`` well-formed entries without going through put()."""
+    for i in range(count):
+        key = _key(f"bulk-{i}")
+        path = root / "objects" / key[:2] / f"{key}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        envelope = {
+            "schema": STORE_SCHEMA_VERSION, "key": key, "stage": "bulk",
+            "created": 0.0, "payload": {"i": i},
+        }
+        path.write_text(json.dumps(envelope, sort_keys=True))
+
+
+def _sidecar(root):
+    return json.loads((root / "size.json").read_text())["total_bytes"]
+
+
+def _scanned_total(root):
+    return sum(size for _k, _p, size, _m in ResultStore(root)._scan())
+
+
+class TestRunningSize:
+    """A put reads and updates the sidecar; it never scans the store."""
+
+    def test_first_put_into_a_large_store_neither_scans_nor_loads(
+        self, tmp_path, monkeypatch
+    ):
+        _fill_directly(tmp_path, 10_000)
+        ResultStore(tmp_path).rebuild_index()
+        ResultStore(tmp_path).stats()  # re-trues the sidecar
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a put scanned the store or parsed the index")
+
+        monkeypatch.setattr(ResultStore, "_scan", refuse)
+        monkeypatch.setattr(ResultStore, "_load_index", refuse)
+        before = _sidecar(tmp_path)
+        store = ResultStore(tmp_path, max_bytes=1 << 30)
+        assert store.put(_key("fresh"), {"v": 1}, stage="check")
+        size = store._entry_path(_key("fresh")).stat().st_size
+        assert _sidecar(tmp_path) == before + size
+
+    def test_short_lived_writers_stay_under_the_cap(self, tmp_path):
+        probe = ResultStore(tmp_path, max_bytes=0)
+        probe.put(_key("probe"), {"writer": 0, "i": 0})
+        entry_bytes = probe._entry_path(_key("probe")).stat().st_size
+        probe.clear()
+        cap = 50 * entry_bytes
+        for writer in range(200):
+            store = ResultStore(tmp_path, max_bytes=cap)
+            for i in range(3):
+                assert store.put(_key(f"w{writer}-{i}"), {"writer": writer, "i": i})
+        stats = ResultStore(tmp_path, max_bytes=cap).stats()
+        assert 0 < stats["total_bytes"] <= cap
+
+    @pytest.mark.parametrize(
+        "sidecar",
+        [None, b"{broken", b'{"total_bytes": -3}', b'{"total_bytes": 99999999}'],
+        ids=["missing", "corrupt", "negative", "stale"],
+    )
+    def test_bad_sidecar_costs_one_scan_and_is_rewritten(
+        self, tmp_path, monkeypatch, sidecar
+    ):
+        for i in range(5):
+            ResultStore(tmp_path, max_bytes=1 << 20).put(_key(i), {"v": i})
+        if sidecar is None:
+            (tmp_path / "size.json").unlink()
+        else:
+            (tmp_path / "size.json").write_bytes(sidecar)
+        scans = []
+        original = ResultStore._scan
+
+        def counting_scan(self):
+            scans.append(1)
+            return original(self)
+
+        monkeypatch.setattr(ResultStore, "_scan", counting_scan)
+        store = ResultStore(tmp_path, max_bytes=1 << 20)
+        store.put(_key("next"), {"v": 5})
+        store.put(_key("after"), {"v": 6})
+        assert len(scans) == 1
+        monkeypatch.setattr(ResultStore, "_scan", original)
+        assert _sidecar(tmp_path) == _scanned_total(tmp_path)
+        assert store.counters["evictions"] == 0
+
+    def test_clear_and_prune_retrue_the_sidecar(self, tmp_path):
+        store = ResultStore(tmp_path, max_bytes=1 << 20)
+        for i in range(6):
+            store.put(_key(i), {"blob": "z" * (100 * i)})
+        (tmp_path / "size.json").write_text('{"total_bytes": 7}')
+        store.prune(2000)
+        assert _sidecar(tmp_path) == _scanned_total(tmp_path) <= 2000
+        store.clear()
+        assert _sidecar(tmp_path) == 0 == _scanned_total(tmp_path)
+
+    def test_uncapped_store_writes_no_sidecar(self, tmp_path):
+        store = ResultStore(tmp_path, max_bytes=0)
+        for i in range(3):
+            store.put(_key(i), {"v": i})
+        store.stats()
+        store.prune()
+        store.clear()
+        assert not (tmp_path / "size.json").exists()
+
+    def test_sidecar_failure_never_fails_a_put(self, tmp_path, monkeypatch):
+        import repro.store.store as store_module
+
+        (tmp_path / "size.json").mkdir(parents=True)  # unreplaceable
+        points = []
+        inject = store_module._inject
+
+        def recording_inject(point):
+            points.append(point)
+            return inject(point)
+
+        monkeypatch.setattr(store_module, "_inject", recording_inject)
+        store = ResultStore(tmp_path, max_bytes=1 << 20)
+        assert store.put(_key("a"), {"v": 1})
+        assert store.put(_key("b"), {"v": 2})
+        assert points == ["store.write", "store.write"]
+        assert store.get(_key("a")) == {"v": 1}
+
+    def test_a_full_store_evicts_to_seven_eighths(self, tmp_path):
+        store = ResultStore(tmp_path, max_bytes=0)
+        store.put(_key("probe"), {"blob": "q" * 200})
+        entry_bytes = store._entry_path(_key("probe")).stat().st_size
+        store.clear()
+        cap = 16 * entry_bytes
+        store = ResultStore(tmp_path, max_bytes=cap)
+        puts = 0
+        while not store.counters["evictions"]:
+            store.put(_key(f"e{puts:02d}"), {"blob": "q" * 200})
+            puts += 1
+        # One pass makes room for an eighth of the cap, not one entry.
+        assert store.counters["evictions"] >= 2
+        assert _sidecar(tmp_path) == _scanned_total(tmp_path) <= cap - cap // 8
+
+
+class TestPendingIndex:
+    def test_large_index_flushes_every_sixteen_updates(self, tmp_path, monkeypatch):
+        _fill_directly(tmp_path, 200)
+        ResultStore(tmp_path).rebuild_index()
+        loads = []
+        original = ResultStore._load_index
+
+        def counting_load(self):
+            loads.append(1)
+            return original(self)
+
+        monkeypatch.setattr(ResultStore, "_load_index", counting_load)
+        store = ResultStore(tmp_path, max_bytes=0)
+        for i in range(15):
+            store.put(_key(f"p{i}"), {"v": i}, stage="check")
+        assert not loads
+        store.put(_key("p15"), {"v": 15}, stage="check")
+        assert len(loads) == 1
+        index = json.loads((tmp_path / "index.json").read_text())["entries"]
+        assert len(index) == 216
+        assert index[_key("p3")]["stage"] == "check"
+
+    def test_stats_labels_include_pending_updates(self, tmp_path):
+        _fill_directly(tmp_path, 200)
+        ResultStore(tmp_path).rebuild_index()
+        store = ResultStore(tmp_path)
+        store.put(_key("fresh"), {"v": 1}, stage="enforce")
+        assert store.stats()["stages"]["enforce"] == 1
+
+    def test_small_store_indexes_every_put(self, tmp_path):
+        for tag in ("a", "b"):
+            ResultStore(tmp_path).put(_key(tag), {"v": tag}, stage=tag)
+        index = json.loads((tmp_path / "index.json").read_text())["entries"]
+        assert {entry["stage"] for entry in index.values()} == {"a", "b"}

@@ -303,3 +303,69 @@ class TestTierAwareness:
         out = capsys.readouterr().out
         assert code == 0
         assert "NOTE" not in out  # same tier: timings gate normally
+
+
+def worked(work_by_stage, **stage_seconds):
+    """A payload whose stages carry the given work dicts."""
+    doc = payload(**stage_seconds)
+    for stage in doc["stages"]:
+        if stage["name"] in work_by_stage:
+            stage["work"] = dict(work_by_stage[stage["name"]])
+    return doc
+
+
+class TestWorkGate:
+    WORK = {"arnoldi_steps": 1220, "operator_applies": 1448}
+
+    def _main(self, tmp_path, base, cur):
+        (tmp_path / "base.json").write_text(json.dumps(base))
+        (tmp_path / "cur.json").write_text(json.dumps(cur))
+        return compare.main(
+            ["--baseline", str(tmp_path / "base.json"),
+             "--current", str(tmp_path / "cur.json")]
+        )
+
+    def test_planted_extra_arnoldi_step_fails(self, tmp_path, capsys):
+        base = worked({"characterization": self.WORK}, characterization=0.4)
+        planted = dict(self.WORK, arnoldi_steps=1221)
+        cur = worked({"characterization": planted}, characterization=0.4)
+        assert self._main(tmp_path, base, cur) == 1
+        captured = capsys.readouterr()
+        assert "characterization.arnoldi_steps" in captured.out
+        assert "1220 -> 1221" in captured.out
+        assert "characterization.arnoldi_steps" in captured.err
+
+    def test_equal_work_dicts_pass(self, tmp_path, capsys):
+        base = worked({"characterization": self.WORK}, characterization=0.4)
+        cur = worked({"characterization": dict(self.WORK)}, characterization=0.41)
+        assert self._main(tmp_path, base, cur) == 0
+        assert "WORK" not in capsys.readouterr().out
+
+    def test_stage_without_work_on_either_side_is_skipped(self):
+        base = worked({}, vector_fit=0.06, characterization=0.4)
+        cur = worked({}, vector_fit=0.06, characterization=0.4)
+        assert compare.work_diffs(base, cur) == []
+
+    def test_work_dropped_from_the_current_run_fails(self):
+        base = worked({"characterization": self.WORK}, characterization=0.4)
+        cur = worked({}, characterization=0.4)
+        names = [diff.name for diff in compare.work_diffs(base, cur)]
+        assert names == [
+            "characterization.arnoldi_steps",
+            "characterization.operator_applies",
+        ]
+
+    def test_work_is_not_compared_across_tiers(self, tmp_path):
+        base = worked({"batch_fleet": {"jobs": 16}}, characterization=0.4)
+        cur = multicore_payload(batch_fleet=1.8)
+        cur["stages"][0]["work"] = {"jobs": 32}
+        assert self._main(tmp_path, base, cur) == 0
+
+    def test_tracked_baseline_work_dicts_are_gated(self):
+        tracked = json.loads(
+            (Path(__file__).resolve().parent.parent / "BENCH_pipeline.json").read_text()
+        )
+        gated = [stage["name"] for stage in tracked["stages"] if stage.get("work")]
+        assert {"characterization", "enforcement", "sampling_baseline",
+                "timedomain"} <= set(gated)
+        assert compare.work_diffs(tracked, tracked) == []
