@@ -9,8 +9,12 @@ but never fail the gate — interpreter jitter dominates below that.
 
 It also gates each stage's ``work`` dict (Arnoldi steps, operator
 applies, shifts, transfer evaluations, time steps, ...) *exactly*: a
-counter that differs from the baseline's fails the gate, whatever the
-host.  A stage with no work dict on either side is skipped.
+counter that differs from the baseline's fails the gate.  A stage with
+no work dict on either side is skipped.  The counters are expected not
+to depend on the host, but every recorded run so far came from one
+machine; Arnoldi steps and restarts come from floating-point
+convergence tests, which a different BLAS kernel could move, so a first
+``WORK`` row on a new host may be a host difference, not a regression.
 
 The gate is **tier-aware**.  ``run.py`` writes schema
 ``repro-bench-pipeline/3``; the tracked baseline is still schema/2, and

@@ -210,6 +210,7 @@ class Macromodel:
         sources,
         *,
         config: Optional[RunConfig] = None,
+        file_representation: bool = False,
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         backend: str = "process",
@@ -223,7 +224,9 @@ class Macromodel:
         ``sources`` may mix Touchstone paths/globs, in-memory models or
         sessions, and :class:`repro.batch.BatchJob` specs; each job runs
         fit → check (→ enforce when ``enforce=True``) on a bounded
-        worker pool with a per-job ``timeout``.
+        worker pool with a per-job ``timeout``.  An explicit ``config``
+        picks every job's representation, as in :meth:`from_touchstone`,
+        unless ``file_representation`` lets each Touchstone file pick it.
 
         Returns
         -------
@@ -234,6 +237,7 @@ class Macromodel:
 
         runner = BatchRunner(
             config=config,
+            file_representation=file_representation,
             workers=workers,
             timeout=timeout,
             backend=backend,

@@ -100,12 +100,9 @@ class BatchJob:
         raise NotImplementedError
 
     def source_config(self, config: RunConfig) -> RunConfig:
-        """``config`` with the representation this job's source implies.
-
-        A fleet or service config whose representation nobody named is
-        layered the way ``repro check`` layers a file: the source picks
-        the representation.  Only a Touchstone file implies one.
-        """
+        """``config`` with the representation this job's source implies,
+        layered the way ``repro check`` layers a file.  Only a Touchstone
+        file implies one."""
         return config
 
     @property

@@ -69,9 +69,9 @@ class JobSettings:
     """Pipeline parameters shared by every job of a fleet run."""
 
     config: Optional[RunConfig] = None
-    #: True when ``config.representation`` was named and so wins over
-    #: what a job's source implies (a Touchstone file's parameter type).
-    representation_named: bool = False
+    #: True when a job's source picks the representation over
+    #: ``config.representation`` (a Touchstone file's parameter type).
+    file_representation: bool = False
     num_poles: int = 30
     enforce: bool = False
     margin: float = 0.002
@@ -336,7 +336,7 @@ def _run_pipeline(job: BatchJob, settings: JobSettings) -> JobResult:
         # No pools inside pools: the fleet already owns the cores.
         config = config.merged(strategy="auto", backend="auto")
     try:
-        if config is not None and not settings.representation_named:
+        if config is not None and settings.file_representation:
             config = job.source_config(config)
         session = job.open_session(config)
         if job.needs_fit:
@@ -420,13 +420,14 @@ class BatchRunner:
     ----------
     config:
         Solver :class:`~repro.core.config.RunConfig` applied to every
-        job's session.  A Touchstone job's file picks the representation
-        (S: scattering, Y/Z: immittance) unless ``representation_named``.
-    representation_named:
-        True when ``config.representation`` was named (a flag,
-        ``REPRO_REPRESENTATION``, a job spec's ``config``): it then wins
-        over every file's parameter type, with a warning where they
-        disagree.
+        job's session.  As in :meth:`Macromodel.from_touchstone`, its
+        representation wins over a Touchstone file's parameter type,
+        with a warning where they disagree; with no config, each file
+        picks (S: scattering, Y/Z: immittance).
+    file_representation:
+        Let each Touchstone file pick the representation over
+        ``config.representation`` too (``repro batch`` does when no flag
+        or ``REPRO_REPRESENTATION`` names one).
     workers:
         Maximum concurrent jobs; defaults to ``os.cpu_count()`` capped
         at 8.
@@ -467,7 +468,7 @@ class BatchRunner:
         self,
         *,
         config: Optional[RunConfig] = None,
-        representation_named: bool = False,
+        file_representation: bool = False,
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         backend: str = "process",
@@ -489,7 +490,7 @@ class BatchRunner:
         self.backend = backend
         self.settings = JobSettings(
             config=config,
-            representation_named=bool(representation_named),
+            file_representation=bool(file_representation),
             num_poles=ensure_positive_int(num_poles, "num_poles"),
             enforce=bool(enforce),
             margin=float(margin),

@@ -999,7 +999,7 @@ def _cmd_batch(args) -> int:
         )
     runner = BatchRunner(
         config=_session_config(args),
-        representation_named=_representation_named(args),
+        file_representation=not _representation_named(args),
         workers=args.workers,
         timeout=args.timeout,
         backend=args.backend,
@@ -1098,7 +1098,7 @@ def _cmd_serve(args) -> int:
         overrides["representation"] = args.representation
     if overrides:
         config = config.merged(**overrides)
-    representation_named = _representation_named(args)
+    file_representation = not _representation_named(args)
     queue_config = _queue_config(args)
     if args.print_config:
         # Describing the configuration needs no socket: it must work
@@ -1108,7 +1108,7 @@ def _cmd_serve(args) -> int:
 
         manager = JobManager(
             config=config,
-            representation_named=representation_named,
+            file_representation=file_representation,
             workers=args.workers,
             timeout=args.timeout,
             backend=args.backend,
@@ -1127,7 +1127,7 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         config=config,
-        representation_named=representation_named,
+        file_representation=file_representation,
         workers=args.workers,
         timeout=args.timeout,
         backend=args.backend,

@@ -188,10 +188,9 @@ class ParsedSpec:
 
     def runner_kwargs(self) -> dict:
         """Keyword arguments of the ``BatchRunner`` executing this job
-        (whose config is resolved, representation included)."""
+        (its config is resolved, representation included, so it wins)."""
         return dict(
             config=self.config,
-            representation_named=True,
             num_poles=self.num_poles,
             margin=self.margin,
             simulate_params=self.sim_params,
@@ -206,16 +205,18 @@ def parse_spec(
     num_poles: int = 30,
     margin: float = 0.002,
     job_id: str = "",
-    representation_named: bool = False,
+    file_representation: bool = False,
 ) -> ParsedSpec:
     """Validate one job spec against a base configuration.
 
-    A Touchstone job's file picks the representation (S: scattering,
-    Y/Z: immittance), as ``repro check`` does, unless the spec's
-    ``config`` names one or ``representation_named`` says the base
-    config's representation was named (``repro serve --representation``,
-    ``REPRO_REPRESENTATION``).  The resolved representation is part of
-    the job key and of :meth:`ParsedSpec.resolved_spec`.
+    A representation the spec's ``config`` names wins.  Otherwise a
+    given ``base_config``'s representation wins, unless
+    ``file_representation`` (``repro serve`` without ``--representation``
+    or ``REPRO_REPRESENTATION``); with no ``base_config``, or with
+    ``file_representation``, a Touchstone job's file picks it (S:
+    scattering, Y/Z: immittance), as ``repro check`` does.  The resolved
+    representation is part of the job key and of
+    :meth:`ParsedSpec.resolved_spec`.
 
     Raises
     ------
@@ -225,6 +226,7 @@ def parse_spec(
     """
     if not isinstance(spec, Mapping):
         raise JobError("job spec must be a JSON object")
+    file_representation = file_representation or base_config is None
     base_config = base_config if base_config is not None else RunConfig()
     task = str(spec.get("task", "check")).lower()
     try:
@@ -250,7 +252,7 @@ def parse_spec(
             config = base_config.merged(**dict(overrides))
         except (TypeError, ValueError) as exc:
             raise JobError(f"invalid config override: {exc}") from exc
-    if not representation_named and "representation" not in (overrides or {}):
+    if file_representation and "representation" not in (overrides or {}):
         try:
             config = job.source_config(config)
         except (OSError, ValueError):

@@ -82,10 +82,11 @@ class JobManager:
         ``"config"`` object merges on top).  Its ``cache`` mode governs
         both the stage-level store use inside workers and the job-level
         short-circuit at submission time.
-    representation_named:
-        True when ``config.representation`` was named (``repro serve
-        --representation``, ``REPRO_REPRESENTATION``); otherwise a
-        Touchstone job's file picks it (see :func:`parse_spec`).
+    file_representation:
+        Let a Touchstone job's file pick the representation over
+        ``config.representation`` (see :func:`parse_spec`); implied when
+        ``config`` is ``None``.  ``repro serve`` sets it unless
+        ``--representation`` or ``REPRO_REPRESENTATION`` names one.
     workers:
         Embedded worker threads draining the queue from inside this
         process.  ``0`` is valid and makes the service a pure front-end
@@ -110,7 +111,7 @@ class JobManager:
         self,
         *,
         config: Optional[RunConfig] = None,
-        representation_named: bool = False,
+        file_representation: bool = False,
         workers: int = 2,
         timeout: Optional[float] = None,
         backend: str = "process",
@@ -123,8 +124,8 @@ class JobManager:
         # Fail the service boot on a malformed REPRO_FAULTS plan rather
         # than discovering it deep inside a request handler.
         _faults_init_from_env()
+        self.file_representation = bool(file_representation) or config is None
         self.config = config if config is not None else RunConfig()
-        self.representation_named = bool(representation_named)
         self.workers = int(workers)
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -206,7 +207,7 @@ class JobManager:
             num_poles=self.num_poles,
             margin=self.margin,
             job_id=job_id,
-            representation_named=self.representation_named,
+            file_representation=self.file_representation,
         )
 
         # The short-circuit honors the *effective* config: a submission

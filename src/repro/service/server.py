@@ -391,7 +391,7 @@ class ReproServer(ThreadingHTTPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         config: Optional[RunConfig] = None,
-        representation_named: bool = False,
+        file_representation: bool = False,
         workers: int = 2,
         timeout: Optional[float] = None,
         backend: str = "process",
@@ -403,7 +403,7 @@ class ReproServer(ThreadingHTTPServer):
         """Build a server on ``host:port`` (0 binds an ephemeral port)."""
         manager = JobManager(
             config=config,
-            representation_named=representation_named,
+            file_representation=file_representation,
             workers=workers,
             timeout=timeout,
             backend=backend,
@@ -467,7 +467,7 @@ def describe_manager(manager: JobManager, host: str, port: int) -> dict:
         "num_poles": manager.num_poles,
         "margin": manager.margin,
         "config": manager.config.to_dict(),
-        "representation_named": manager.representation_named,
+        "file_representation": manager.file_representation,
         "queue": dict(
             manager.queue_config.to_dict(), path=str(manager.queue_path)
         ),

@@ -26,14 +26,17 @@ Cost model: a put does no work proportional to the store's size.  A
 capped put reads the running byte total in ``size.json``, adds its own
 bytes and writes it back in place, all under an exclusive ``flock`` of
 that file, so writers in other processes (every job child included)
-count toward one total and no increment is lost.  Only when the total
-would pass the cap does a put run an eviction pass, which scans every
-entry (O(entries)) and evicts down to 7/8 of the cap, so passes are
-spaced by an eighth of the cap's bytes.  Every authoritative scan
-re-trues the sidecar: the eviction pass, :meth:`ResultStore.stats`,
-:meth:`ResultStore.prune` and :meth:`ResultStore.clear`.  A missing or
-unreadable sidecar costs one scan; an uncapped instance never touches
-it.  Index updates stay pending in memory until a flush loads, merges
+count toward one total.  Only when the total would pass the cap does a
+put run an eviction pass, which scans every entry (O(entries)) and
+evicts down to 7/8 of the cap, so passes are spaced by an eighth of the
+cap's bytes.  Every authoritative scan re-trues the sidecar: the
+eviction pass, :meth:`ResultStore.stats`, :meth:`ResultStore.prune` and
+:meth:`ResultStore.clear`.  Each holds the lock from its scan through
+its write, so a put that adds meanwhile lands on top of the scanned
+total and no increment is lost; a put whose entry the scan already saw
+is counted twice, which only brings the next eviction pass forward.  A
+missing or unreadable sidecar costs one scan; an uncapped instance
+never touches it.  Index updates stay pending in memory until a flush loads, merges
 and rewrites ``index.json`` (on every update while the index file is
 small, every :data:`_INDEX_FLUSH_EVERY` updates after that), so a
 short-lived instance on a large store never parses the index.
@@ -41,19 +44,15 @@ short-lived instance on a large store never parses the index.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import tempfile
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX hosts run unlocked
-    fcntl = None
 
 from repro.faults import init_from_env as _faults_init_from_env
 from repro.faults import inject as _inject
@@ -396,13 +395,17 @@ class ResultStore:
                 )
         return True
 
-    def _discard(self, path: Path, *, corrupt: bool = False) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+    def _discard(self, path: Path, *, corrupt: bool = False) -> bool:
+        """Delete an entry file; False when it could not be removed."""
         if corrupt:
             self.counters["corrupt"] += 1
+        try:
+            path.unlink()
+        except FileNotFoundError:
+            return True
+        except OSError:
+            return False
+        return True
 
     # -- health -------------------------------------------------------------
 
@@ -458,11 +461,24 @@ class ResultStore:
         """The sidecar's descriptor, held under an exclusive lock."""
         fd = os.open(self._size_path(), os.O_RDWR | os.O_CREAT, 0o644)
         try:
-            if fcntl is not None:
-                fcntl.flock(fd, fcntl.LOCK_EX)
+            fcntl.flock(fd, fcntl.LOCK_EX)
             yield fd
         finally:
             os.close(fd)
+
+    @contextmanager
+    def _size_held(self) -> Iterator[Optional[int]]:
+        """The sidecar locked across an authoritative scan and its
+        re-true; ``None`` when this instance is uncapped or the sidecar
+        cannot be opened (the scan still runs, the re-true is skipped)."""
+        with ExitStack() as stack:
+            fd = None
+            if self.max_bytes is not None:
+                try:
+                    fd = stack.enter_context(self._size_file())
+                except OSError:
+                    pass
+            yield fd
 
     @staticmethod
     def _write_total(fd: int, total: int) -> None:
@@ -486,18 +502,14 @@ class ResultStore:
         except (OSError, ValueError, TypeError, KeyError):
             return False
 
-    def _retrue(self, entries: List[Tuple[str, Path, int, float]]) -> int:
-        """Byte total of an authoritative scan, written to the sidecar
-        when this instance is capped (a failed write only costs a later
-        scan)."""
-        total = sum(size for _k, _p, size, _m in entries)
-        if self.max_bytes is not None:
+    def _retrue(self, fd: Optional[int], total: int) -> None:
+        """Write an authoritative scan's total to the sidecar held by
+        :meth:`_size_held` (a failed write only costs a later scan)."""
+        if fd is not None:
             try:
-                with self._size_file() as fd:
-                    self._write_total(fd, total)
+                self._write_total(fd, total)
             except OSError:
                 pass
-        return total
 
     # -- index --------------------------------------------------------------
 
@@ -592,31 +604,33 @@ class ResultStore:
 
     def _evict_locked(
         self, max_bytes: Optional[int], *, target: Optional[int] = None
-    ) -> int:
-        """Evict LRU entries down to ``target`` (default ``max_bytes``)
-        when the store holds more than ``max_bytes``."""
-        if max_bytes is None:
-            return 0
-        entries = self._scan()
-        total = sum(size for _k, _p, size, _m in entries)
-        target = max_bytes if target is None else target
+    ) -> Tuple[int, int, int]:
+        """One authoritative pass: evict LRU entries down to ``target``
+        (default ``max_bytes``) when the store holds more than
+        ``max_bytes`` (``None``: never), and re-true the sidecar.
+
+        Returns ``(removed, entries left, bytes left)``.
+        """
         removed = 0
         index_updates: Dict[str, Optional[dict]] = {}
-        if total > max_bytes:
-            entries = sorted(entries, key=lambda e: e[3])
-            for key, path, size, _mtime in entries:
-                if total <= target:
-                    break
-                self._discard(path)
-                index_updates[key] = None
-                total -= size
-                removed += 1
-        # The scan was authoritative either way: re-true the sidecar.
-        self._retrue(entries[removed:])
+        with self._size_held() as fd:
+            entries = self._scan()
+            total = sum(size for _k, _p, size, _m in entries)
+            if max_bytes is not None and total > max_bytes:
+                target = max_bytes if target is None else target
+                entries = sorted(entries, key=lambda e: e[3])
+                for key, path, size, _mtime in entries:
+                    if total <= target:
+                        break
+                    self._discard(path)
+                    index_updates[key] = None
+                    total -= size
+                    removed += 1
+            self._retrue(fd, total)
         if index_updates:
             self.counters["evictions"] += removed
             self._update_index(index_updates, flush=True)
-        return removed
+        return removed, len(entries) - removed, total
 
     def prune(self, max_bytes: Optional[int] = None) -> dict:
         """Evict LRU entries down to ``max_bytes``; returns a summary.
@@ -628,28 +642,29 @@ class ResultStore:
         """
         cap = self.max_bytes if max_bytes is None else max_bytes
         with self._lock:
-            removed = self._evict_locked(cap)
-            entries = self._scan()
-            total = self._retrue(entries)
+            removed, count, total = self._evict_locked(cap)
         return {
             "removed": removed,
-            "entries": len(entries),
+            "entries": count,
             "total_bytes": total,
             "max_bytes": cap,
         }
 
     def clear(self) -> int:
         """Delete every entry (and the index); returns the number removed."""
-        with self._lock:
+        with self._lock, self._size_held() as fd:
             entries = self._scan()
-            for _key, path, _size, _mtime in entries:
-                self._discard(path)
+            kept = sum(
+                size
+                for _key, path, size, _mtime in entries
+                if not self._discard(path)
+            )
             try:
                 self._index_path().unlink()
             except OSError:
                 pass
             self._pending = {}
-            self._retrue(self._scan())
+            self._retrue(fd, kept)
             return len(entries)
 
     def stats(self) -> dict:
@@ -661,8 +676,10 @@ class ResultStore:
         entries another process wrote very recently may show under stage
         ``None`` there.
         """
-        entries = self._scan()
-        total = self._retrue(entries)
+        with self._size_held() as fd:
+            entries = self._scan()
+            total = sum(size for _k, _p, size, _m in entries)
+            self._retrue(fd, total)
         with self._lock:
             index = self._index_entries()
         stages: Dict[str, int] = {}

@@ -22,21 +22,20 @@ Everything is formulated in real arithmetic through the conjugate-pair
 basis ``phi_1 = 1/(s-q) + 1/(s-q*)``, ``phi_2 = j/(s-q) - j/(s-q*)`` so the
 resulting model is exactly real (conjugate-symmetric residues).
 
-Both stages weight the ``p^2`` element fits by one column of per-sample
-weights each, and every element shares the same basis.  So each stage
-QR-factors the weighted basis once per *distinct* weight column and
-broadcasts that factor over the elements using it (the fast-VF
-reduction of Deschrijver et al., IEEE MWCL 18(6), 2008): one QR per
-stage under the default uniform weighting, one per element under
-``inverse_magnitude``.  Each element's factor is bit-identical to the
-one a per-element factorization would give.
+Both stages QR-factor the weighted basis once per weight column and
+broadcast the factor over the elements that use it (the fast-VF
+reduction of Deschrijver et al., IEEE MWCL 18(6), 2008).  The default
+uniform weighting is a single column shared by all ``p^2`` elements,
+so each stage runs one QR; ``inverse_magnitude`` gives every element
+its own column and its own QR.  The shared factor is bit-identical to
+the one a per-element factorization would give.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -242,37 +241,6 @@ def _stack_real(matrix: np.ndarray, *, axis: int = 0) -> np.ndarray:
     return np.concatenate([matrix.real, matrix.imag], axis=axis)
 
 
-def _weighted_basis_qr(
-    basis: np.ndarray, weights: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """QR-factor the weighted real LS block once per distinct weight column.
-
-    Returns ``(a, q, r, column)``: the ``(U, 2K, F)`` weighted blocks of
-    the ``U`` distinct columns of ``weights`` (``(K, E)``), their reduced
-    QR factors, and the ``(E,)`` index of the column each element uses.
-    Index a factor with :func:`_per_element` to get an ``(E, ...)``
-    stack; with one distinct column it stays a broadcasting ``(1, ...)``.
-    """
-    rows = np.ascontiguousarray(weights.T)
-    slot: Dict[bytes, int] = {}
-    firsts: List[int] = []
-    column = np.empty(len(rows), dtype=np.intp)
-    for e, row in enumerate(rows):
-        key = row.tobytes()
-        if key not in slot:
-            slot[key] = len(firsts)
-            firsts.append(e)
-        column[e] = slot[key]
-    a = _stack_real(basis[None, :, :] * rows[firsts][:, :, None], axis=1)
-    q, r = np.linalg.qr(a)
-    return a, q, r, column
-
-
-def _per_element(factor: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """A per-distinct-column stack as a per-element (or broadcast) stack."""
-    return factor if factor.shape[0] == 1 else factor[column]
-
-
 def vector_fit(
     freqs_rad,
     responses,
@@ -350,7 +318,10 @@ def vector_fit(
         )
 
     flat = responses.reshape(k_samples, p * p)  # (K, E)
-    weights = np.ones((k_samples, p * p))
+    # Uniform weights are one column shared by every element, so each
+    # stage factors a single weighted block; per-element weights give one
+    # column (and one QR) per element.
+    weights = np.ones((k_samples, 1))
     if options.weighting == "inverse_magnitude":
         weights = 1.0 / np.maximum(np.abs(flat), 1e-2 * np.abs(flat).max() + 1e-30)
 
@@ -425,18 +396,19 @@ def _relocate_poles(
     basis = np.concatenate([phi, const.astype(complex)], axis=1)  # (K, F)
 
     # Per-element projection of the sigma block onto the orthogonal
-    # complement of the residue block (the "fast VF" reduction).  The
-    # residue block of an element is the basis under its weight column,
-    # so one QR per distinct column serves every element; the stacked
-    # ``(E, 2K, .)`` projections then feed one least-squares solve for
-    # the shared sigma coefficients.
-    w3 = weights.T[:, :, None]  # (E, K, 1)
+    # complement of the residue block (the "fast VF" reduction).  All
+    # elements are assembled at once as stacked ``(E, 2K, .)`` real blocks
+    # and projected through ONE batched QR — no per-element Python loop —
+    # then one stacked least-squares yields the shared sigma coefficients.
+    # A single weight column makes the residue block one ``(1, 2K, F)``
+    # factor that broadcasts over the elements.
+    w3 = weights.T[:, :, None]  # (E or 1, K, 1)
+    a_blocks = _stack_real(basis[None, :, :] * w3, axis=1)  # (E or 1, 2K, F)
     b_blocks = _stack_real(
         -(flat.T[:, :, None] * phi[None, :, :]) * w3, axis=1
     )  # (E, 2K, M)
     rhs = _stack_real((flat * weights).T[:, :, None], axis=1)  # (E, 2K, 1)
-    _a, q, _r, column = _weighted_basis_qr(basis, weights)
-    q = _per_element(q, column)
+    q, _ = np.linalg.qr(a_blocks)
     qt = np.swapaxes(q, 1, 2)
     b_proj = b_blocks - q @ (qt @ b_blocks)
     r_proj = rhs - q @ (qt @ rhs)
@@ -462,10 +434,10 @@ def _identify_residues(
 ) -> PoleResidueModel:
     """Final residue stage with fixed poles.
 
-    All ``p^2`` element fits share one QR factor per distinct weight
-    column and one batched triangular solve; a per-element ``lstsq``
-    fallback covers the (rank-deficient) corner the fast path cannot
-    factor.
+    All ``p^2`` element fits share one ``(E, 2K, F)`` stacked assembly (one
+    ``(1, 2K, F)`` block under a single weight column) and one batched QR
+    least-squares solve; a per-element ``lstsq`` fallback covers the
+    (rank-deficient) corner the fast path cannot factor.
     """
     phi, real_poles, pair_poles = _basis(freqs_rad, poles)
     k_samples, num_funcs = phi.shape
@@ -475,13 +447,12 @@ def _identify_residues(
     basis = np.concatenate([phi, const.astype(complex)], axis=1)
 
     num_elems = flat.shape[1]
+    w3 = weights.T[:, :, None]  # (E or 1, K, 1)
+    a_blocks = _stack_real(basis[None, :, :] * w3, axis=1)  # (E or 1, 2K, F)
     rhs = _stack_real((flat * weights).T[:, :, None], axis=1)  # (E, 2K, 1)
-    a, q, r, column = _weighted_basis_qr(basis, weights)
     try:
-        sol = np.linalg.solve(
-            _per_element(r, column),
-            np.swapaxes(_per_element(q, column), 1, 2) @ rhs,
-        )  # (E, F, 1)
+        q, r = np.linalg.qr(a_blocks)
+        sol = np.linalg.solve(r, np.swapaxes(q, 1, 2) @ rhs)  # (E, F, 1)
         if not np.all(np.isfinite(sol)):
             raise np.linalg.LinAlgError("batched QR solve not finite")
         coeffs = sol[:, :, 0].T  # (F, E)
@@ -489,7 +460,8 @@ def _identify_residues(
         # Rank-deficient basis on some element: redo with per-element lstsq.
         coeffs = np.zeros((basis.shape[1], num_elems))
         for e in range(num_elems):
-            sol_e, *_ = np.linalg.lstsq(a[column[e]], rhs[e, :, 0], rcond=None)
+            a_e = a_blocks[0 if len(a_blocks) == 1 else e]
+            sol_e, *_ = np.linalg.lstsq(a_e, rhs[e, :, 0], rcond=None)
             coeffs[:, e] = sol_e
 
     # Unpack into residue matrices (order: real poles, then pairs).

@@ -1,8 +1,10 @@
 """Fleet and service Touchstone jobs take the representation of their file.
 
-A Y- or Z-parameter file runs the immittance test unless a flag,
-``REPRO_REPRESENTATION`` or the job spec's ``config`` names another one,
-as ``repro check`` layers its config.
+Through ``repro batch`` and ``repro serve``, a Y- or Z-parameter file runs
+the immittance test unless a flag, ``REPRO_REPRESENTATION`` or the job
+spec's ``config`` names another one, as ``repro check`` layers its config.
+A library caller's explicit config wins, with a warning, as in
+``Macromodel.from_touchstone``; without one, each file picks.
 """
 
 import json
@@ -11,10 +13,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.api import Macromodel
 from repro.batch import BatchRunner
 from repro.cli import main
 from repro.core.config import RunConfig
 from repro.queue import parse_spec
+from repro.service import JobManager
 from repro.synth import random_macromodel
 from repro.touchstone import write_touchstone
 from repro.touchstone.reader import read_parameter
@@ -48,7 +52,9 @@ def test_read_parameter_reads_the_option_line(y_file, tmp_path):
 class TestService:
     def test_y_file_job_runs_the_immittance_test(self, y_file):
         spec = {"kind": "touchstone", "path": y_file, "task": "check", "num_poles": 8}
-        parsed = parse_spec(spec, base_config=RunConfig(cache="off"))
+        parsed = parse_spec(
+            spec, base_config=RunConfig(cache="off"), file_representation=True
+        )
         assert parsed.config.representation == "immittance"
         assert parsed.resolved_spec()["config"]["representation"] == "immittance"
         with warnings.catch_warnings():
@@ -77,10 +83,49 @@ class TestService:
         assert result.status == "error"
         assert "sigma(D) < 1 required" in result.error
 
-    def test_named_base_representation_wins(self, y_file):
+    def test_without_a_base_config_the_file_picks(self, y_file):
         spec = {"kind": "touchstone", "path": y_file, "task": "check"}
-        parsed = parse_spec(spec, representation_named=True)
+        assert parse_spec(spec).config.representation == "immittance"
+
+    def test_an_explicit_base_config_wins(self, y_file):
+        spec = {"kind": "touchstone", "path": y_file, "task": "check"}
+        parsed = parse_spec(spec, base_config=RunConfig())
         assert parsed.config.representation == "scattering"
+
+    @pytest.mark.parametrize(
+        "config, file_representation, expected",
+        [
+            (RunConfig(cache="off"), True, "immittance"),
+            (RunConfig(cache="off"), False, "scattering"),
+            (None, False, "immittance"),
+        ],
+    )
+    def test_manager_queues_the_resolved_representation(
+        self, y_file, tmp_path, config, file_representation, expected
+    ):
+        manager = JobManager(
+            config=config,
+            file_representation=file_representation,
+            workers=0,
+            queue_path=str(tmp_path / "q.sqlite3"),
+        )
+        try:
+            row = manager.submit(
+                {"kind": "touchstone", "path": y_file, "task": "check"}
+            )
+            assert row.spec["config"]["representation"] == expected
+        finally:
+            manager.shutdown()
+
+    def test_serve_lets_files_pick_unless_named(self, tmp_path, capsys):
+        argv = ["serve", "--print-config", "--port", "0", "--workers", "0",
+                "--queue", str(tmp_path / "q.sqlite3")]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["file_representation"]
+        assert main(argv + ["--representation", "scattering"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["file_representation"] is False
+        assert payload["config"]["representation"] == "scattering"
 
     def test_the_file_changes_the_job_key(self, y_file):
         spec = {"kind": "touchstone", "path": y_file, "task": "check"}
@@ -117,11 +162,42 @@ class TestBatch:
         capsys.readouterr()
         assert code == 4
 
-    def test_named_runner_config_wins(self, y_file):
-        runner = BatchRunner(
-            config=RunConfig(), representation_named=True,
-            backend="serial", num_poles=8,
-        )
+    def test_an_explicit_runner_config_wins(self, y_file):
+        runner = BatchRunner(config=RunConfig(), backend="serial", num_poles=8)
         with pytest.warns(UserWarning, match="holds Y-parameters"):
             (result,) = runner.run([y_file]).results
         assert result.status == "error"
+
+    def test_runner_file_representation_lets_the_file_pick(self, y_file):
+        runner = BatchRunner(
+            config=RunConfig(), file_representation=True,
+            backend="serial", num_poles=8,
+        )
+        (result,) = runner.run([y_file]).results
+        assert result.status == "ok", result.error
+        assert result.session["passivity"]["representation"] == "immittance"
+
+
+class TestMap:
+    def test_an_explicit_config_wins_with_a_warning(self, y_file):
+        with pytest.warns(UserWarning, match="holds Y-parameters"):
+            report = Macromodel.map(
+                [y_file], config=RunConfig(), backend="serial", num_poles=8
+            )
+        (result,) = report.results
+        assert result.status == "error"
+        assert "sigma(D) < 1 required" in result.error
+
+    def test_without_a_config_the_file_picks(self, y_file):
+        (result,) = Macromodel.map([y_file], backend="serial", num_poles=8).results
+        assert result.status == "ok", result.error
+        assert result.session["passivity"]["representation"] == "immittance"
+
+    def test_file_representation_passes_through(self, y_file):
+        report = Macromodel.map(
+            [y_file], config=RunConfig(), file_representation=True,
+            backend="serial", num_poles=8,
+        )
+        (result,) = report.results
+        assert result.status == "ok", result.error
+        assert result.session["passivity"]["representation"] == "immittance"

@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -372,6 +373,36 @@ class TestRunningSize:
         assert _sidecar(tmp_path) == _scanned_total(tmp_path) <= 2000
         store.clear()
         assert _sidecar(tmp_path) == 0 == _scanned_total(tmp_path)
+
+    @pytest.mark.parametrize("operation", ["prune", "stats", "clear"])
+    def test_an_add_during_a_scan_lands_after_the_retrue(
+        self, tmp_path, monkeypatch, operation
+    ):
+        """A put that adds between a scan and its re-true is not lost:
+        the add waits for the sidecar lock and lands on the scanned total."""
+        store = ResultStore(tmp_path, max_bytes=1 << 20)
+        for i in range(4):
+            store.put(_key(i), {"v": i})
+        other = ResultStore(tmp_path, max_bytes=1 << 20)
+        writers = []
+        scan = store._scan
+
+        def scan_then_put():
+            entries = scan()
+            writer = threading.Thread(
+                target=other.put, args=(_key("late"), {"v": "late"})
+            )
+            writer.start()
+            writer.join(0.3)  # unlocked, the put would finish here
+            writers.append(writer)
+            return entries
+
+        monkeypatch.setattr(store, "_scan", scan_then_put)
+        getattr(store, operation)()
+        for writer in writers:
+            writer.join()
+        assert writers and other.contains(_key("late"))
+        assert _sidecar(tmp_path) == _scanned_total(tmp_path)
 
     def test_uncapped_store_writes_no_sidecar(self, tmp_path):
         store = ResultStore(tmp_path, max_bytes=0)

@@ -1,4 +1,4 @@
-"""One QR per distinct weight column: every fit stays bit-identical.
+"""One QR per weight column: every fit stays bit-identical.
 
 The reference below is the per-element formulation both fitting stages
 used before the factor was shared: one batched QR over all ``p^2``
@@ -20,6 +20,7 @@ def _reference_relocate(freqs_rad, flat, weights, poles, options):
         np.ones((k_samples, 1)) if options.fit_direct_term else np.zeros((k_samples, 0))
     )
     basis = np.concatenate([phi, const.astype(complex)], axis=1)
+    weights = np.broadcast_to(weights, flat.shape)  # one column per element
     w3 = weights.T[:, :, None]
     a_blocks = vf._stack_real(basis[None, :, :] * w3, axis=1)
     b_blocks = vf._stack_real(-(flat.T[:, :, None] * phi[None, :, :]) * w3, axis=1)
@@ -46,6 +47,7 @@ def _reference_residues(freqs_rad, flat, weights, poles, p, options):
         np.ones((k_samples, 1)) if options.fit_direct_term else np.zeros((k_samples, 0))
     )
     basis = np.concatenate([phi, const.astype(complex)], axis=1)
+    weights = np.broadcast_to(weights, flat.shape)  # one column per element
     w3 = weights.T[:, :, None]
     a_blocks = vf._stack_real(basis[None, :, :] * w3, axis=1)
     rhs = vf._stack_real((flat * weights).T[:, :, None], axis=1)
@@ -121,12 +123,3 @@ def test_uniform_weighting_factors_once_per_stage(monkeypatch):
     assert len(shapes) == fit.iterations + 1
     assert all(shape[0] == 1 for shape in shapes)
 
-
-def test_shared_columns_share_a_factor():
-    """Equal weight columns (a reciprocal S12 = S21) map to one factor."""
-    weights = np.array([[1.0, 2.0, 2.0, 3.0], [1.0, 4.0, 4.0, 5.0]])
-    basis = np.ones((2, 3), dtype=complex)
-    a, q, r, column = vf._weighted_basis_qr(basis, weights)
-    assert a.shape[0] == q.shape[0] == r.shape[0] == 3
-    assert column[1] == column[2]
-    assert len(set(column.tolist())) == 3
