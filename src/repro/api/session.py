@@ -210,7 +210,6 @@ class Macromodel:
         sources,
         *,
         config: Optional[RunConfig] = None,
-        file_representation: bool = False,
         workers: Optional[int] = None,
         timeout: Optional[float] = None,
         backend: str = "process",
@@ -224,9 +223,10 @@ class Macromodel:
         ``sources`` may mix Touchstone paths/globs, in-memory models or
         sessions, and :class:`repro.batch.BatchJob` specs; each job runs
         fit → check (→ enforce when ``enforce=True``) on a bounded
-        worker pool with a per-job ``timeout``.  An explicit ``config``
-        picks every job's representation, as in :meth:`from_touchstone`,
-        unless ``file_representation`` lets each Touchstone file pick it.
+        worker pool with a per-job ``timeout``.  As in
+        :meth:`from_touchstone`, an explicit ``config`` picks every job's
+        representation (with a warning where a file disagrees); without
+        one, each Touchstone file picks its own.
 
         Returns
         -------
@@ -237,7 +237,6 @@ class Macromodel:
 
         runner = BatchRunner(
             config=config,
-            file_representation=file_representation,
             workers=workers,
             timeout=timeout,
             backend=backend,

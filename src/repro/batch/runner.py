@@ -426,7 +426,7 @@ class BatchRunner:
         picks (S: scattering, Y/Z: immittance).
     file_representation:
         Let each Touchstone file pick the representation over
-        ``config.representation`` too (``repro batch`` does when no flag
+        ``config.representation`` (``repro batch`` sets it unless a flag
         or ``REPRO_REPRESENTATION`` names one).
     workers:
         Maximum concurrent jobs; defaults to ``os.cpu_count()`` capped

@@ -50,7 +50,7 @@ import os
 import tempfile
 import threading
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
@@ -457,28 +457,26 @@ class ResultStore:
     # -- running size -------------------------------------------------------
 
     @contextmanager
-    def _size_file(self) -> Iterator[int]:
-        """The sidecar's descriptor, held under an exclusive lock."""
-        fd = os.open(self._size_path(), os.O_RDWR | os.O_CREAT, 0o644)
+    def _size_file(self) -> Iterator[Optional[int]]:
+        """The sidecar's descriptor, held under an exclusive lock; ``None``
+        when this instance is uncapped or the sidecar cannot be opened.
+
+        An authoritative scan holds it from the scan through its re-true.
+        """
+        fd = None
+        if self.max_bytes is not None:
+            try:
+                fd = os.open(self._size_path(), os.O_RDWR | os.O_CREAT, 0o644)
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            except OSError:
+                if fd is not None:
+                    os.close(fd)
+                fd = None
         try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
             yield fd
         finally:
-            os.close(fd)
-
-    @contextmanager
-    def _size_held(self) -> Iterator[Optional[int]]:
-        """The sidecar locked across an authoritative scan and its
-        re-true; ``None`` when this instance is uncapped or the sidecar
-        cannot be opened (the scan still runs, the re-true is skipped)."""
-        with ExitStack() as stack:
-            fd = None
-            if self.max_bytes is not None:
-                try:
-                    fd = stack.enter_context(self._size_file())
-                except OSError:
-                    pass
-            yield fd
+            if fd is not None:
+                os.close(fd)
 
     @staticmethod
     def _write_total(fd: int, total: int) -> None:
@@ -490,8 +488,10 @@ class ResultStore:
         """Add ``size`` to the sidecar's total unless that would pass the
         cap; False when it would, or when the sidecar is missing or
         unreadable (the caller then runs an eviction pass)."""
-        try:
-            with self._size_file() as fd:
+        with self._size_file() as fd:
+            if fd is None:
+                return False
+            try:
                 total = json.loads(os.pread(fd, 4096, 0))["total_bytes"]
                 if not isinstance(total, int) or total < 0:
                     return False
@@ -499,12 +499,12 @@ class ResultStore:
                     return False
                 self._write_total(fd, total + size)
                 return True
-        except (OSError, ValueError, TypeError, KeyError):
-            return False
+            except (OSError, ValueError, TypeError, KeyError):
+                return False
 
     def _retrue(self, fd: Optional[int], total: int) -> None:
         """Write an authoritative scan's total to the sidecar held by
-        :meth:`_size_held` (a failed write only costs a later scan)."""
+        :meth:`_size_file` (a failed write only costs a later scan)."""
         if fd is not None:
             try:
                 self._write_total(fd, total)
@@ -613,7 +613,7 @@ class ResultStore:
         """
         removed = 0
         index_updates: Dict[str, Optional[dict]] = {}
-        with self._size_held() as fd:
+        with self._size_file() as fd:
             entries = self._scan()
             total = sum(size for _k, _p, size, _m in entries)
             if max_bytes is not None and total > max_bytes:
@@ -652,7 +652,7 @@ class ResultStore:
 
     def clear(self) -> int:
         """Delete every entry (and the index); returns the number removed."""
-        with self._lock, self._size_held() as fd:
+        with self._lock, self._size_file() as fd:
             entries = self._scan()
             kept = sum(
                 size
@@ -676,7 +676,7 @@ class ResultStore:
         entries another process wrote very recently may show under stage
         ``None`` there.
         """
-        with self._size_held() as fd:
+        with self._size_file() as fd:
             entries = self._scan()
             total = sum(size for _k, _p, size, _m in entries)
             self._retrue(fd, total)

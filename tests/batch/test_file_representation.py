@@ -192,12 +192,3 @@ class TestMap:
         (result,) = Macromodel.map([y_file], backend="serial", num_poles=8).results
         assert result.status == "ok", result.error
         assert result.session["passivity"]["representation"] == "immittance"
-
-    def test_file_representation_passes_through(self, y_file):
-        report = Macromodel.map(
-            [y_file], config=RunConfig(), file_representation=True,
-            backend="serial", num_poles=8,
-        )
-        (result,) = report.results
-        assert result.status == "ok", result.error
-        assert result.session["passivity"]["representation"] == "immittance"
