@@ -36,10 +36,11 @@ its write, so a put that adds meanwhile lands on top of the scanned
 total and no increment is lost; a put whose entry the scan already saw
 is counted twice, which only brings the next eviction pass forward.  A
 missing or unreadable sidecar costs one scan; an uncapped instance
-never touches it.  Index updates stay pending in memory until a flush loads, merges
-and rewrites ``index.json`` (on every update while the index file is
-small, every :data:`_INDEX_FLUSH_EVERY` updates after that), so a
-short-lived instance on a large store never parses the index.
+never touches it.  Index updates stay pending in memory until a flush
+loads, merges and rewrites ``index.json`` (on every update while the
+index file is small, every :data:`_INDEX_FLUSH_EVERY` updates after
+that), so a short-lived instance on a large store never parses the
+index.
 """
 
 from __future__ import annotations
