@@ -7,10 +7,17 @@ structured per-job results collected into one :class:`FleetReport`.
 
 Execution backends:
 
-* ``"process"`` (default) — one OS process per in-flight job, bounded by
-  ``workers``; the only backend whose timeout can actually *kill* a
-  stuck job.  Inside a job the solver's own ``backend="process"`` is
-  downgraded to ``"auto"`` so fleets do not fork pools inside pools.
+* ``"process"`` (default) — up to ``workers`` child processes, each
+  forked at its first job and fed job after job over a pipe; the only
+  backend whose timeout can actually *kill* a stuck job.  A child whose
+  job overruns its budget is terminated, and one that dies without a
+  result is reaped; the next job on that slot forks a fresh child.  The
+  children are daemonic, exit when their pipe closes, and end before
+  :meth:`BatchRunner.run` returns.  Like the other backends, a child
+  carries process state (caches, the metrics registry, a fault plan's
+  random streams) from one job to the next.  Inside a job the solver's
+  own ``backend="process"`` is downgraded to ``"auto"`` so fleets do not
+  fork pools inside pools.
 * ``"thread"`` — a thread pool; timeouts are best-effort (the job is
   *marked* timed out and its late result discarded, but CPython cannot
   preempt the thread).
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
@@ -163,8 +171,12 @@ class JobResult:
         return self.status == "ok"
 
     def to_dict(self) -> dict:
-        """JSON-serializable dictionary of this job outcome."""
-        return to_jsonable(
+        """JSON-serializable dictionary of this job outcome.
+
+        ``session`` is passed through as it is, not copied: it is the
+        output of :meth:`Macromodel.to_dict`, JSON-native already.
+        """
+        payload = to_jsonable(
             {
                 "name": self.name,
                 "status": self.status,
@@ -172,7 +184,7 @@ class JobResult:
                 "is_passive": self.is_passive,
                 "crossings": [float(w) for w in self.crossings],
                 "error": self.error,
-                "session": self.session,
+                "session": None,
                 "source": self.source,
                 "cache_hits": int(self.cache_hits),
                 "cache_misses": int(self.cache_misses),
@@ -181,6 +193,8 @@ class JobResult:
                 "metrics": self.metrics,
             }
         )
+        payload["session"] = self.session
+        return payload
 
 
 @dataclass(frozen=True)
@@ -261,7 +275,7 @@ class FleetReport:
 
     def to_dict(self) -> dict:
         """JSON-serializable dictionary of the whole fleet outcome."""
-        return to_jsonable(
+        payload = to_jsonable(
             {
                 "elapsed": float(self.elapsed),
                 "workers": int(self.workers),
@@ -273,9 +287,10 @@ class FleetReport:
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
                 "metrics": self.metrics(),
-                "results": [r.to_dict() for r in self.results],
             }
         )
+        payload["results"] = [r.to_dict() for r in self.results]
+        return payload
 
     def summary(self) -> str:
         """Multi-line human-readable fleet summary."""
@@ -390,22 +405,122 @@ def _run_pipeline(job: BatchJob, settings: JobSettings) -> JobResult:
         )
 
 
-def _job_entry(payload: bytes, conn) -> None:
-    """Worker-process entry point: run one job, ship the result back."""
-    try:
-        job, settings = pickle.loads(payload)
-        result = _execute_job(job, settings)
-    except BaseException as exc:  # pickling/import failures included
-        result = JobResult(
-            name="<unknown>",
-            status="error",
-            elapsed=0.0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
-    try:
+def _child_loop(conn) -> None:
+    """Job-child entry point: receive a pickled ``(job, settings)``, run
+    it, send the result back; return when the parent closes the pipe."""
+    # Drop the inherited parent ends of every job child's pipe, this
+    # one's included, so that each child sees EOF once its parent dies.
+    for parent_end in list(_PARENT_ENDS):
+        parent_end.close()
+    while True:
+        try:
+            payload = conn.recv_bytes()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
+        try:
+            job, settings = pickle.loads(payload)
+            result = _execute_job(job, settings)
+        except BaseException as exc:  # pickling/import failures included
+            result = JobResult(
+                name="<unknown>",
+                status="error",
+                elapsed=0.0,
+                error=f"{type(exc).__name__}: {exc}",
+            )
         conn.send(result)
-    finally:
-        conn.close()
+
+
+#: The parent end of every live job child's pipe in this process.  A
+#: child closes its inherited copies first thing, which is only safe
+#: because every fork and every close of a listed end holds the lock.
+_PARENT_ENDS: set = set()
+_FORK_LOCK = threading.Lock()
+
+
+class _JobChild:
+    """One forked job child and the parent's end of its pipe."""
+
+    def __init__(self, ctx) -> None:
+        with _FORK_LOCK:
+            self.conn, child_end = ctx.Pipe()
+            _PARENT_ENDS.add(self.conn)
+            try:
+                self.process = ctx.Process(
+                    target=_child_loop,
+                    args=(child_end,),
+                    name="repro-job-child",
+                    daemon=True,
+                )
+                self.process.start()
+            except BaseException:
+                _PARENT_ENDS.discard(self.conn)
+                self.conn.close()
+                raise
+            finally:
+                child_end.close()
+
+    def close(self, *, kill: bool) -> None:
+        """Close the pipe and reap the child; ``kill`` terminates it
+        first (an overrunning or abandoned job)."""
+        with _FORK_LOCK:
+            _PARENT_ENDS.discard(self.conn)
+            self.conn.close()
+        if kill:
+            self.process.terminate()
+        # An idle child exits on EOF; one that does not is terminated.
+        self.process.join(timeout=None if kill else 10.0)
+        if self.process.exitcode is None:
+            self.process.terminate()
+            self.process.join()
+
+
+class _JobChildren:
+    """The process backend's job children, forked on demand and reused
+    job after job until :meth:`close` ends them.
+
+    Whoever creates one owns the children: :meth:`BatchRunner.run` for
+    one fleet, a :class:`~repro.queue.QueueWorker` for one ``run()``.
+    At most as many children exist as jobs were in flight at once.
+    """
+
+    def __init__(self) -> None:
+        self._idle: List[_JobChild] = []
+        self._busy: List[_JobChild] = []
+
+    def __enter__(self) -> "_JobChildren":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def acquire(self) -> _JobChild:
+        """An idle live child, or a newly forked one."""
+        while self._idle:
+            child = self._idle.pop()
+            if child.process.is_alive():
+                break
+            child.close(kill=False)  # died while idle
+        else:
+            child = _JobChild(preferred_mp_context())
+        self._busy.append(child)
+        return child
+
+    def release(self, child: _JobChild) -> None:
+        """Return a child whose job finished, ready for the next one."""
+        self._busy.remove(child)
+        self._idle.append(child)
+
+    def discard(self, child: _JobChild, *, kill: bool) -> None:
+        """End a child whose job timed out (``kill``) or that died."""
+        self._busy.remove(child)
+        child.close(kill=kill)
+
+    def close(self) -> None:
+        """End every child: idle ones on EOF, busy ones by terminating."""
+        while self._busy:
+            self.discard(self._busy[-1], kill=True)
+        while self._idle:
+            self._idle.pop().close(kill=False)
 
 
 # ---------------------------------------------------------------------------
@@ -506,14 +621,24 @@ class BatchRunner:
 
         Job results appear in input order regardless of completion
         order; individual failures and timeouts are recorded, never
-        raised.
+        raised.  Every job child the fleet forked has exited by the time
+        this returns.
         """
+        with _JobChildren() as children:
+            return self._run(sources, children)
+
+    def _run(
+        self,
+        sources: Union[JobSource, Sequence[JobSource]],
+        children: _JobChildren,
+    ) -> FleetReport:
+        """:meth:`run` on job children that the caller owns and closes."""
         jobs = expand_jobs(sources)
         started = time.perf_counter()
         backend = self.backend
         if backend == "process":
             try:
-                results = self._run_processes(jobs)
+                results = self._run_processes(jobs, children)
             except (OSError, ImportError) as exc:
                 _LOG.debug("process pool unavailable (%r); using threads", exc)
                 backend = "thread"
@@ -550,11 +675,12 @@ class BatchRunner:
 
     # -- process backend ----------------------------------------------------
 
-    def _run_processes(self, jobs: List[BatchJob]) -> List[JobResult]:
-        ctx = preferred_mp_context()
+    def _run_processes(
+        self, jobs: List[BatchJob], children: _JobChildren
+    ) -> List[JobResult]:
         pending = list(enumerate(jobs))
         results: List[Optional[JobResult]] = [None] * len(jobs)
-        active: list = []  # (slot, job, process, conn, deadline)
+        active: list = []  # (slot, job, child, deadline)
 
         def launch(slot: int, job: BatchJob) -> None:
             try:
@@ -572,51 +698,47 @@ class BatchRunner:
                     source=job.describe(),
                 )
                 return
+            child = None
             try:
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_job_entry,
-                    args=(payload, child_conn),
-                    name=f"fleet-{job.name}",
-                )
-                proc.start()
+                child = children.acquire()
+                child.conn.send_bytes(payload)
             except OSError as exc:
                 # Fork/pipe failure mid-fleet (fd or process limits): run
                 # this job inline instead of letting the exception orphan
                 # the workers already in flight.
                 _LOG.debug("cannot launch worker for %s (%r)", job.name, exc)
+                if child is not None:
+                    children.discard(child, kill=True)
                 results[slot] = _execute_job(job, self.settings)
                 return
-            child_conn.close()
             deadline = (
                 time.perf_counter() + self.timeout
                 if self.timeout is not None
                 else None
             )
-            active.append((slot, job, proc, parent_conn, deadline))
+            active.append((slot, job, child, deadline))
 
         def reap() -> None:
             for entry in list(active):
-                slot, job, proc, conn, deadline = entry
-                if conn.poll():
+                slot, job, child, deadline = entry
+                if child.conn.poll():
                     try:
-                        result = conn.recv()
-                    except EOFError:
+                        result = child.conn.recv()
+                    except (EOFError, OSError):
                         result = None
-                    proc.join()
-                    conn.close()
                     active.remove(entry)
-                    results[slot] = self._normalize(job, proc, result)
-                elif not proc.is_alive():
-                    proc.join()
-                    conn.close()
+                    if result is None:
+                        children.discard(child, kill=False)
+                    else:
+                        children.release(child)
+                    results[slot] = self._normalize(job, child.process, result)
+                elif not child.process.is_alive():
                     active.remove(entry)
-                    results[slot] = self._normalize(job, proc, None)
+                    children.discard(child, kill=False)
+                    results[slot] = self._normalize(job, child.process, None)
                 elif deadline is not None and time.perf_counter() > deadline:
-                    proc.terminate()
-                    proc.join()
-                    conn.close()
                     active.remove(entry)
+                    children.discard(child, kill=True)
                     results[slot] = JobResult(
                         name=job.name,
                         status="timeout",
@@ -626,23 +748,28 @@ class BatchRunner:
                         source=job.describe(),
                     )
 
-        while pending or active:
-            while pending and len(active) < self.workers:
-                slot, job = pending.pop(0)
-                launch(slot, job)
-            if active:
-                # Sleep until a result arrives, a worker exits, or the
-                # nearest deadline passes, whichever comes first.
-                ready = [conn for _, _, _, conn, _ in active]
-                ready += [proc.sentinel for _, _, proc, _, _ in active]
-                deadlines = [entry[4] for entry in active if entry[4] is not None]
-                timeout = (
-                    max(0.0, min(deadlines) - time.perf_counter())
-                    if deadlines
-                    else None
-                )
-                wait_ready(ready, timeout=timeout)
-            reap()
+        try:
+            while pending or active:
+                while pending and len(active) < self.workers:
+                    slot, job = pending.pop(0)
+                    launch(slot, job)
+                if active:
+                    # Sleep until a result arrives, a worker exits, or the
+                    # nearest deadline passes, whichever comes first.
+                    ready = [child.conn for _, _, child, _ in active]
+                    ready += [child.process.sentinel for _, _, child, _ in active]
+                    deadlines = [e[3] for e in active if e[3] is not None]
+                    timeout = (
+                        max(0.0, min(deadlines) - time.perf_counter())
+                        if deadlines
+                        else None
+                    )
+                    wait_ready(ready, timeout=timeout)
+                reap()
+        finally:
+            # Only when the loop raised: abandon the jobs still running.
+            for _, _, child, _ in active:
+                children.discard(child, kill=True)
         return [r for r in results if r is not None]
 
     @staticmethod

@@ -34,7 +34,7 @@ import uuid
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.batch.runner import BATCH_BACKENDS, BatchRunner
+from repro.batch.runner import BATCH_BACKENDS, BatchRunner, _JobChildren
 from repro.faults import counters as _fault_counters
 from repro.faults import init_from_env as _faults_init_from_env
 from repro.faults import inject as _inject
@@ -78,8 +78,11 @@ class QueueWorker:
         Stable identity for leases and the liveness table; generated
         when omitted.
     backend:
-        :class:`BatchRunner` backend executing each job (``"process"``
-        gives real timeout kills and crash isolation).
+        :class:`BatchRunner` backend executing each job.  ``"process"``
+        gives real timeout kills and crash isolation: the worker forks
+        one job child at its first job and sends it every later job,
+        until :meth:`run` returns.  A child is replaced only after its
+        job timed out (it is terminated) or after it died.
     timeout:
         Per-job wall-clock budget in seconds (``None`` — no limit).
     max_jobs:
@@ -122,6 +125,9 @@ class QueueWorker:
         # One store per distinct cache directory: jobs may override
         # cache_dir per submission, but same-dir jobs share the handle.
         self._stores: Dict[Optional[str], ResultStore] = {}
+        # The process backend's job child, kept from the first job until
+        # run() returns.
+        self._children = _JobChildren()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -205,6 +211,7 @@ class QueueWorker:
                     )
                 idle_since = time.monotonic()
         finally:
+            self._children.close()
             self.queue.worker_update(self.worker_id, state="stopped")
             self.queue.close()
         _LOG.info(
@@ -339,7 +346,7 @@ class QueueWorker:
                 ),
                 **parsed.runner_kwargs(),
             )
-            result = runner.run([parsed.job]).results[0]
+            result = runner._run([parsed.job], self._children).results[0]
             sink.extend(result.spans or ())
             payload = result.to_dict()
             state = "done" if result.ok else result.status

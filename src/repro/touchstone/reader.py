@@ -80,9 +80,10 @@ def _ports_from_suffix(name: str) -> Optional[int]:
 
 
 def _convert(values: np.ndarray, fmt: str) -> np.ndarray:
-    """Convert (a, b) value pairs to complex numbers per the format."""
-    a = values[0::2]
-    b = values[1::2]
+    """Convert (a, b) value pairs along the last axis to complex numbers
+    per the format."""
+    a = values[..., 0::2]
+    b = values[..., 1::2]
     if fmt == "RI":
         return a + 1j * b
     if fmt == "MA":
@@ -145,7 +146,7 @@ def parse_touchstone(text: str, *, num_ports: Optional[int] = None) -> Touchston
     unit, parameter, fmt, z0 = _parse_option_line("#")
     saw_option = False
 
-    numbers: List[float] = []
+    data_lines: List[str] = []
     for line in _comment_free_lines(text.splitlines()):
         if line.startswith("#"):
             if saw_option:
@@ -159,12 +160,13 @@ def parse_touchstone(text: str, *, num_ports: Optional[int] = None) -> Touchston
                 "Touchstone v2 keyword sections are not supported"
                 f" (found {line.split()[0]})"
             )
-        numbers.extend(float(tok) for tok in line.split())
+        data_lines.append(line)
 
-    if not numbers:
+    tokens = " ".join(data_lines).split()
+    if not tokens:
         raise ValueError("no data records found")
 
-    data = np.asarray(numbers, dtype=float)
+    data = np.array(tokens, dtype=float)
     if num_ports is None:
         num_ports = _infer_ports(data)
     record_len = 1 + 2 * num_ports * num_ports
@@ -178,15 +180,10 @@ def parse_touchstone(text: str, *, num_ports: Optional[int] = None) -> Touchston
     if np.any(np.diff(freqs) <= 0):
         raise ValueError("frequencies must be strictly increasing")
 
-    k = records.shape[0]
-    matrices = np.empty((k, num_ports, num_ports), dtype=complex)
-    for i in range(k):
-        entries = _convert(records[i, 1:], fmt)
-        if num_ports == 2:
-            # Spec quirk: 2-port data is S11 S21 S12 S22 (column-major).
-            matrices[i] = entries.reshape(2, 2).T
-        else:
-            matrices[i] = entries.reshape(num_ports, num_ports)
+    matrices = _convert(records[:, 1:], fmt).reshape(-1, num_ports, num_ports)
+    if num_ports == 2:
+        # Spec quirk: 2-port data is S11 S21 S12 S22 (column-major).
+        matrices = np.ascontiguousarray(matrices.transpose(0, 2, 1))
     return TouchstoneData(
         freqs_hz=freqs, matrices=matrices, parameter=parameter, z0=z0
     )

@@ -1,9 +1,15 @@
 """Unit tests for the batch fleet runner."""
 
 import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import textwrap
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +17,10 @@ import pytest
 from repro.api import Macromodel, RunConfig
 from repro.batch import BatchRunner, FleetReport, SynthJob, synth_fleet
 from repro.batch.jobs import BatchJob, TouchstoneJob
-from repro.batch.runner import _execute_job, JobSettings
+from repro.batch.runner import JobResult, JobSettings, _execute_job
+from repro.core.sweep import preferred_mp_context
 from repro.obs import trace
+from repro.utils.serialization import to_jsonable
 
 
 @dataclass(frozen=True)
@@ -34,6 +42,21 @@ class ExitJob(BatchJob):
 
     def open_session(self, config):
         os._exit(self.code)
+
+
+@dataclass(frozen=True)
+class PidJob(SynthJob):
+    """Test-only synth job whose source records the process that ran it."""
+
+    def describe(self):
+        return dict(super().describe(), pid=os.getpid())
+
+
+def pid_fleet(count, **kwargs):
+    return [
+        PidJob(**{f.name: getattr(job, f.name) for f in fields(job)})
+        for job in synth_fleet(count, **kwargs)
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +200,188 @@ class TestProcessBackend:
         sweeps = [s for s in result.spans if s["name"] == "solve.sweep"]
         assert [s["attributes"]["strategy"] for s in sweeps] == ["queue"]
         assert not [s for s in result.spans if s["name"] == "eigensweep.dispatch"]
+
+
+class TestReusedChildren:
+    """Process-backend children live across jobs and end with the fleet."""
+
+    def test_fleet_runs_in_at_most_workers_children(self):
+        fleet = pid_fleet(8, order_per_column=6, base_seed=50)
+        serial = BatchRunner(backend="serial", enforce=True).run(fleet)
+        process = BatchRunner(backend="process", workers=2, enforce=True).run(fleet)
+        assert multiprocessing.active_children() == []
+        assert process.all_ok
+        pids = {r.source["pid"] for r in process.results}
+        assert len(pids) <= 2
+        assert os.getpid() not in pids
+        for a, b in zip(serial.results, process.results):
+            assert a.session == b.session
+
+    def test_timeout_replaces_the_child(self):
+        first, after, later = pid_fleet(3, order_per_column=6, base_seed=50)
+        sources = [first, SleepJob(name="hang", seconds=120.0), after, later]
+        report = BatchRunner(backend="process", workers=1, timeout=1.5).run(sources)
+        assert multiprocessing.active_children() == []
+        assert report.result("hang").status == "timeout"
+        pid = {r.name: r.source.get("pid") for r in report.results if r.ok}
+        assert pid[first.name] != pid[after.name]
+        assert pid[after.name] == pid[later.name]
+
+    def test_death_replaces_the_child(self):
+        first, after, later = pid_fleet(3, order_per_column=6, base_seed=50)
+        sources = [first, ExitJob(name="dies"), after, later]
+        report = BatchRunner(backend="process", workers=1).run(sources)
+        assert multiprocessing.active_children() == []
+        dead = report.result("dies")
+        assert dead.status == "error"
+        assert dead.error == "worker died without a result (exit code 3)"
+        assert report.num_ok == 3
+        pid = {r.name: r.source["pid"] for r in report.results if r.ok}
+        assert pid[first.name] != pid[after.name]
+        assert pid[after.name] == pid[later.name]
+
+
+_ORPHAN_SCRIPT = """
+import time
+from dataclasses import dataclass
+import pickle
+
+from repro.batch.jobs import BatchJob
+from repro.batch.runner import JobSettings, _JobChildren
+
+
+@dataclass(frozen=True)
+class Hang(BatchJob):
+    def open_session(self, config):
+        time.sleep(120.0)
+
+
+children = _JobChildren()
+idle = children.acquire()
+busy = children.acquire()
+busy.conn.send_bytes(pickle.dumps((Hang(name="hang"), JobSettings())))
+print(idle.process.pid, busy.process.pid, flush=True)
+time.sleep(120.0)
+"""
+
+
+def _running(pid):
+    """True while ``pid`` is a live process (not gone, not a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists()
+    or preferred_mp_context().get_start_method() != "fork",
+    reason="needs /proc and the fork start method",
+)
+def test_idle_child_exits_when_its_parent_is_killed():
+    # The busy child, forked later, inherits the idle child's pipe; the
+    # idle child must see EOF anyway, and without waiting for it.
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    parent = subprocess.Popen(
+        [sys.executable, "-c", textwrap.dedent(_ORPHAN_SCRIPT)],
+        stdout=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+    pids = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        idle, busy = pids
+        assert _running(idle) and _running(busy)
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(timeout=30.0)
+        deadline = time.monotonic() + 5.0
+        while _running(idle) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _running(idle), "the idle child outlived its killed parent"
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        for pid in pids:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _reference_to_dict(result):
+    """The walk over every field, session included, that ``to_dict``
+    skips for the session: both must serialize to the same bytes."""
+    return to_jsonable(
+        {
+            "name": result.name,
+            "status": result.status,
+            "elapsed": float(result.elapsed),
+            "is_passive": result.is_passive,
+            "crossings": [float(w) for w in result.crossings],
+            "error": result.error,
+            "session": result.session,
+            "source": result.source,
+            "cache_hits": int(result.cache_hits),
+            "cache_misses": int(result.cache_misses),
+            "energy_gain": result.energy_gain,
+            "diagnostic": result.diagnostic,
+            "metrics": result.metrics,
+        }
+    )
+
+
+_JSON_NATIVE = (dict, list, str, int, float, bool, type(None))
+
+
+def _json_native(node):
+    if isinstance(node, dict):
+        return all(isinstance(k, str) and _json_native(v) for k, v in node.items())
+    if isinstance(node, list):
+        return all(_json_native(item) for item in node)
+    return type(node) in _JSON_NATIVE
+
+
+class TestResultPayload:
+    @pytest.mark.parametrize(
+        "task",
+        [{}, {"enforce": True}, {"hinf": True}, {"simulate": True}],
+        ids=["check", "enforce", "hinf", "simulate"],
+    )
+    def test_session_payload_is_json_native(self, task):
+        job = SynthJob(name="s", order_per_column=6, seed=50)
+        settings = JobSettings(
+            simulate_params={"num_steps": 512} if task.get("simulate") else None,
+            **task,
+        )
+        result = _execute_job(job, settings)
+        assert result.ok, result.error
+        assert _json_native(result.session)
+        assert to_jsonable(result.session) == result.session
+
+    def test_rows_serialize_as_the_full_walk_does(self):
+        runner = BatchRunner(backend="process", workers=1, enforce=True, timeout=1.5)
+        report = runner.run(
+            [
+                SynthJob(name="ok", order_per_column=6, seed=50),
+                TouchstoneJob(name="error", path="no-such.s2p"),
+                SleepJob(name="timeout", seconds=60.0),
+            ]
+        )
+        assert [r.status for r in report.results] == ["ok", "error", "timeout"]
+        nan_row = JobResult(name="nan", status="ok", elapsed=0.1, energy_gain=np.nan)
+        for result in report.results + [nan_row]:
+            payload = result.to_dict()
+            reference = _reference_to_dict(result)
+            assert json.dumps(payload) == json.dumps(reference)
+            assert json.dumps(payload, sort_keys=True) == json.dumps(
+                reference, sort_keys=True
+            )
 
 
 class TestThreadBackend:

@@ -1,11 +1,15 @@
 """QueueWorker: execution, caching, drains, and lost-lease handling."""
 
+import multiprocessing
+import os
 import threading
 import time
 
 import pytest
 
+from repro.batch.jobs import SynthJob
 from repro.core.config import RunConfig
+from repro.core.sweep import preferred_mp_context
 from repro.queue import JobQueue, QueueConfig, QueueWorker, parse_spec
 from repro.store import ResultStore
 
@@ -96,6 +100,31 @@ class TestExecution:
             assert worker.run() == 1
             assert queue.get(row.id).state == "done"
         assert not (tmp_path / "store").exists()
+
+
+class TestJobChild:
+    @pytest.mark.skipif(
+        preferred_mp_context().get_start_method() != "fork",
+        reason="the patched describe() reaches the child only by fork",
+    )
+    def test_one_child_runs_every_job_and_ends_with_run(
+        self, queue_path, config, monkeypatch
+    ):
+        describe = SynthJob.describe
+        monkeypatch.setattr(
+            SynthJob, "describe", lambda job: dict(describe(job), pid=os.getpid())
+        )
+        with JobQueue(queue_path) as queue:
+            for seed in range(3):
+                _enqueue(queue, dict(SPEC, seed=seed), config, job_id=f"j{seed}")
+            worker = _worker(queue_path, backend="process", max_jobs=3)
+            assert worker.run() == 3
+            assert multiprocessing.active_children() == []
+            rows = [queue.get(f"j{seed}") for seed in range(3)]
+        assert [row.state for row in rows] == ["done"] * 3
+        pids = {row.result["source"]["pid"] for row in rows}
+        assert len(pids) == 1
+        assert os.getpid() not in pids
 
 
 class TestDrain:

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.touchstone.reader import parse_touchstone, read_touchstone
+from repro.synth import random_macromodel
+from repro.touchstone.reader import (
+    _UNIT_SCALE,
+    _comment_free_lines,
+    _parse_option_line,
+    parse_touchstone,
+    read_touchstone,
+)
+from repro.touchstone.writer import format_touchstone
 
 
 SIMPLE_1PORT = """! demo file
@@ -115,6 +123,11 @@ class TestLayout:
         with pytest.raises(ValueError, match="no data"):
             parse_touchstone("! nothing here\n# HZ S RI R 50\n", num_ports=1)
 
+    def test_non_numeric_token_rejected(self):
+        text = "# HZ S RI R 50\n1.0 0.1 zero\n"
+        with pytest.raises(ValueError, match="could not convert"):
+            parse_touchstone(text, num_ports=1)
+
 
 class TestReadFile:
     def test_suffix_port_detection(self, tmp_path):
@@ -123,3 +136,81 @@ class TestReadFile:
         data = read_touchstone(path)
         assert data.num_ports == 1
         assert data.freqs_rad[0] == pytest.approx(2 * np.pi * 1e6)
+
+
+def _reference_parse(text, num_ports):
+    """The per-record parse the block conversion must match exactly: one
+    ``float()`` per token, then one conversion and reshape per record."""
+    unit, _, fmt, _ = _parse_option_line("#")
+    numbers = []
+    for line in _comment_free_lines(text.splitlines()):
+        if line.startswith("#"):
+            unit, _, fmt, _ = _parse_option_line(line)
+            continue
+        numbers.extend(float(tok) for tok in line.split())
+    records = np.asarray(numbers).reshape(-1, 1 + 2 * num_ports * num_ports)
+    matrices = np.empty((len(records), num_ports, num_ports), dtype=complex)
+    for i, record in enumerate(records):
+        a, b = record[1::2], record[2::2]
+        if fmt == "RI":
+            entries = a + 1j * b
+        elif fmt == "MA":
+            entries = a * np.exp(1j * np.deg2rad(b))
+        else:
+            entries = 10.0 ** (a / 20.0) * np.exp(1j * np.deg2rad(b))
+        if num_ports == 2:
+            matrices[i] = entries.reshape(2, 2).T
+        else:
+            matrices[i] = entries.reshape(num_ports, num_ports)
+    return records[:, 0] * _UNIT_SCALE[unit], matrices
+
+
+def _device_text(ports, seed, fmt, samples=40):
+    model = random_macromodel(6, ports, seed=seed, sigma_target=1.05)
+    freqs = np.linspace(0.05, 14.0, samples)
+    return format_touchstone(
+        freqs / (2.0 * np.pi),
+        model.frequency_response(freqs),
+        fmt=fmt,
+        unit="GHZ",
+        comment="generated\nfor the block-parse test",
+    )
+
+
+class TestBlockParseMatchesPerRecord:
+    """One conversion over the whole record block equals the per-record
+    parse bit for bit: frequencies and every matrix entry ``==``."""
+
+    @staticmethod
+    def _assert_same(text, num_ports):
+        data = parse_touchstone(text, num_ports=num_ports)
+        freqs, matrices = _reference_parse(text, num_ports)
+        assert data.matrices.flags.c_contiguous
+        assert data.matrices.shape == matrices.shape
+        assert np.array_equal(data.freqs_hz, freqs)
+        assert np.array_equal(data.matrices, matrices)
+
+    @pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
+    @pytest.mark.parametrize("ports", [1, 2, 3, 4])
+    def test_formats_and_port_counts(self, fmt, ports):
+        self._assert_same(_device_text(ports, 60 + ports, fmt), ports)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_service_sized_devices(self, seed):
+        model = random_macromodel(12, 4, seed=seed, sigma_target=1.1)
+        freqs = np.linspace(0.05, 14.0, 300)
+        text = format_touchstone(freqs / (2.0 * np.pi), model.frequency_response(freqs))
+        self._assert_same(text, 4)
+
+    def test_wrapped_records_and_trailing_comments(self):
+        text = (
+            "! header\n"
+            "# MHZ S MA R 50  ! options\n"
+            "1.0  0.9 -10  0.1 45  0.2 -45  0.3 90 ! first line\n"
+            "     0.8 -20  0.1 30  0.2 -30  0.3 80\n"
+            "     0.7 -30 ! wrapped tail\n"
+            "! between records\n"
+            "2.5  0.9 -11  0.1 46  0.2 -46  0.3 91\n"
+            "     0.8 -21  0.1 31  0.2 -31  0.3 81  0.7 -31\n"
+        )
+        self._assert_same(text, 3)
